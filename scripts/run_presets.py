@@ -1,5 +1,9 @@
 #!/usr/bin/env python3
-"""Run the three shipped preset experiments into ./out/."""
+"""Run every shipped preset (configs/*.cfg) into out/<preset>/ of the repo.
+
+The output paths are absolute, so the committed outputs are regenerated in
+place from any working directory.
+"""
 import pathlib
 import sys
 
@@ -7,9 +11,8 @@ from robinspectra.cli import main
 
 HERE = pathlib.Path(__file__).resolve().parent.parent
 
-for name in ("constant", "step", "oscillating"):
-    cfg = HERE / "configs" / f"{name}.cfg"
-    print(f"== {name} ==")
-    rc = main(["run", "--config", str(cfg)])
+for cfg in sorted((HERE / "configs").glob("*.cfg")):
+    print(f"== {cfg.stem} ==")
+    rc = main(["run", "--config", str(cfg), "--out", str(HERE / "out" / cfg.stem)])
     if rc != 0:
         sys.exit(rc)

@@ -1,34 +1,22 @@
 """Physical interpretation of raw spectral output.
 
-Covers sign structure of the ground state, log-linear decay-rate fits along
-rays, two-sided truncation control via the outer Dirichlet/Neumann pair, and
-Richardson extrapolation over grid refinements.
+Covers log-linear decay-rate fits along rays and Richardson extrapolation
+over grid refinements.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
-from .discretize import DiscreteForm, Grid, OuterBC, assemble
-from .eigensolve import lowest_eigenpairs
+from .discretize import DiscreteForm
 from .errors import NoAsymptoticRegimeError, UnderflowWindowError
-from .potential import BoundaryPotential
 
 DEFAULT_N_RADII = 40
 UNDERFLOW_FLOOR = 1e-14
-
-
-def ground_state_positivity(v: np.ndarray, tol: float) -> bool:
-    """True iff v has a single sign up to tol after sign normalization."""
-    v = np.asarray(v, dtype=np.float64)
-    j = int(np.argmax(np.abs(v)))
-    if v[j] < 0:
-        v = -v
-    return bool(np.min(v) >= -tol)
 
 
 @dataclass(frozen=True)
@@ -41,6 +29,8 @@ class DecayFit:
     predicted_rate: float
     with_prefactor: bool
     slope_stderr: float
+    radii: tuple[float, ...] = field(repr=False)  # the sampled profile
+    abs_phi: tuple[float, ...] = field(repr=False)
 
 
 def _default_radii(
@@ -77,7 +67,8 @@ def decay_fit(
     """Least-squares decay rate of nodal values v along a ray from the origin.
 
     Fits log|v| (plus half log r when the 1/sqrt(r) prefactor is modelled)
-    against r; off-node points are obtained by bilinear interpolation.
+    against r; off-node points are obtained by bilinear interpolation.  The
+    result carries the sampled radii and |v| values it was fitted to.
     """
     if E >= 0:
         raise ValueError("decay fit requires a negative energy")
@@ -126,6 +117,8 @@ def decay_fit(
         predicted_rate=-math.sqrt(abs(E)),
         with_prefactor=with_prefactor,
         slope_stderr=stderr,
+        radii=tuple(radii.tolist()),
+        abs_phi=tuple(absvals.tolist()),
     )
 
 
@@ -142,20 +135,6 @@ def _linfit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     stderr = math.sqrt(ss_res / ((n - 2) * sxx)) if n > 2 else 0.0
     return slope, intercept, stderr, max(0.0, r2)
-
-
-def truncation_bracket(
-    p: BoundaryPotential, R: float, h: float, k: int, tol: float = 1e-8
-) -> tuple[np.ndarray, np.ndarray]:
-    """Outer-Neumann (lower) and outer-Dirichlet (upper) eigenvalues.
-
-    The Dirichlet-truncated trial space embeds by zero extension, so for each
-    index the pair encloses the discrete eigenvalue of the truncated problem.
-    """
-    grid = Grid(R, h)
-    lo = lowest_eigenpairs(assemble(p, grid, OuterBC.NEUMANN), k, tol).eigenvalues
-    hi = lowest_eigenpairs(assemble(p, grid, OuterBC.DIRICHLET), k, tol).eigenvalues
-    return lo, hi
 
 
 @dataclass(frozen=True)

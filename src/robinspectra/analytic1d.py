@@ -1,9 +1,10 @@
 """Closed-form and root-finding solutions of the 1D Robin reference problems.
 
 Two problems appear: the half-line with a Robin condition of strength sigma
-at the origin (single bound state at -sigma^2), and the interval [0, L] with
-equal Robin constants sigma_hat at both ends.  For the interval operator the
-ground state decay parameter kappa solves
+at the origin, whose single bound state at -sigma^2 gives the constant-sigma
+quarter-plane reference, and the interval [0, L] with equal Robin constants
+sigma_hat at both ends.  For the interval operator the ground state decay
+parameter kappa solves
 
     kappa * tanh(kappa * L / 2) = sigma_hat,          kappa > sigma_hat,
 
@@ -22,18 +23,6 @@ from typing import Callable
 
 KAPPA_RESIDUAL_TOL = 1e-12
 ROOT_RESIDUAL_TOL = 1e-10
-
-
-def halfline_bound_state(sigma: float) -> tuple[float, Callable[[float], float]]:
-    """Energy and unit-L2 profile of the half-line Robin bound state."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    energy = -sigma ** 2
-
-    def profile(x: float) -> float:
-        return math.sqrt(2 * sigma) * math.exp(-sigma * x)
-
-    return energy, profile
 
 
 @dataclass(frozen=True)
@@ -108,13 +97,6 @@ def interval_ground_kappa(sigma_hat: float, L: float) -> float:
 
 def kappa_residual(kappa: float, sigma_hat: float, L: float) -> float:
     return kappa * math.tanh(kappa * L / 2) - sigma_hat
-
-
-def interval_negative_count(sigma_hat: float, L: float) -> int:
-    """Number of negative interval eigenvalues: 1 iff sigma_hat <= 2/L, else 2."""
-    if sigma_hat <= 0 or L <= 0:
-        raise ValueError("sigma_hat and L must be positive")
-    return 1 if sigma_hat <= 2.0 / L else 2
 
 
 def root_function(k: float, sigma_hat: float, L: float) -> float:
@@ -200,15 +182,3 @@ def interval_spectrum(sigma_hat: float, L: float, k_max: float) -> Interval1DSpe
         positive_roots=tuple(roots),
         eigenvalues=eigenvalues,
     )
-
-
-def tensor_spectrum_symmetric(spec: Interval1DSpectrum, E_max: float) -> list[float]:
-    """Sums eps_n + eps_m with n >= m, not exceeding E_max, ascending."""
-    eigs = spec.eigenvalues
-    sums = [
-        eigs[n] + eigs[m]
-        for n in range(len(eigs))
-        for m in range(n + 1)
-        if eigs[n] + eigs[m] <= E_max
-    ]
-    return sorted(sums)

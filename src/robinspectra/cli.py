@@ -16,14 +16,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .analytic1d import (
-    interval_spectrum,
-    kappa_residual,
-    root_function,
-)
+from .analytic1d import constant_reference, interval_spectrum, kappa_residual, root_function
 from .analysis import decay_fit, richardson
 from .certify import (
     bound_state_certificate,
@@ -33,24 +27,33 @@ from .certify import (
     negative_count_bound,
 )
 from .discretize import Grid, OuterBC, assemble
-from .eigensolve import lowest_eigenpairs
+from .eigensolve import count_below, lowest_eigenpairs
 from .errors import (
     ConfigError,
     ConvergenceError,
     EssentialBottomNotZeroError,
+    FactorizationError,
     InapplicableError,
     NoAsymptoticRegimeError,
     NotAttractiveOnAverageError,
     NotIntegrableError,
     RobinSpectraError,
 )
-from .potential import BoundaryPotential, Constant, Step, potential_from_dict
+from .potential import Constant, Step, potential_from_dict
 
 TASKS = ("solve", "bounds", "certify", "roots1d", "reference", "decay", "sweep")
 
-EXIT_CONFIG = 2
-EXIT_NO_CONVERGENCE = 3
-EXIT_INAPPLICABLE = 4
+# Exit code and message prefix per error type; the first matching row wins.
+EXIT_CODES = (
+    (ConfigError, 2, "config error"),
+    (ConvergenceError, 3, "solver did not converge"),
+    (FactorizationError, 3, "factorization broke down"),
+    (InapplicableError, 4, "inapplicable request"),
+    (NotAttractiveOnAverageError, 4, "inapplicable request"),
+    (EssentialBottomNotZeroError, 4, "inapplicable request"),
+    (NotIntegrableError, 4, "inapplicable request"),
+    (RobinSpectraError, 1, "error"),
+)
 
 SWEEP_BUDGET_BOUNDS = 10_000
 SWEEP_BUDGET_SOLVE = 100
@@ -200,8 +203,6 @@ class Runner:
             raise InapplicableError(
                 "reference task needs a constant positive potential"
             )
-        from .analytic1d import constant_reference
-
         ref = constant_reference(p.sigma)
         write_json(
             self._record("reference.json"),
@@ -363,26 +364,17 @@ class Runner:
         r_min = float(r_min) if r_min is not None else support + 2.0
         r_max = float(r_max) if r_max is not None else R - 3.0
         with_prefactor = bool(dcfg.get("with_prefactor", True))
-        fit = decay_fit(res.form, v, E, ray, r_min, r_max, with_prefactor)
+        try:
+            fit = decay_fit(res.form, v, E, ray, r_min, r_max, with_prefactor)
+        except ValueError as exc:
+            raise ConfigError(f"decay window rejected: {exc}") from exc
 
-        rate = math.sqrt(abs(E))
         c = math.exp(fit.intercept)
-        coords = res.form.grid.coords(bc)
-        from scipy.interpolate import RegularGridInterpolator
-
-        interp = RegularGridInterpolator(
-            (coords, coords), np.asarray(v).reshape(res.form.n, res.form.n)
-        )
-        step = res.form.grid.h * math.sqrt(2.0)
-        radii = np.arange(
-            int(math.ceil(r_min / step)), int(math.floor(r_max / step)) + 1
-        ) * step
-        rayv = np.asarray(ray, dtype=float)
-        rayv = rayv / np.linalg.norm(rayv)
         rows = []
-        for r in radii:
-            phi = abs(float(interp(r * rayv)[0]))
-            model = c * math.exp(-rate * r) / math.sqrt(r)
+        for r, phi in zip(fit.radii, fit.abs_phi):
+            model = c * math.exp(fit.predicted_rate * r)
+            if fit.with_prefactor:
+                model /= math.sqrt(r)
             rows.append([_fmt(r), _fmt(phi), _fmt(model)])
         write_csv(self._record("decay.csv"), ["r", "abs_phi", "model"], rows)
         write_json(
@@ -444,8 +436,6 @@ def _sweep_point(arg) -> list[str]:
         "" if count is None else str(count),
     ]
     if do_solve:
-        from .eigensolve import count_below
-
         F = assemble(p, Grid(R, h), OuterBC.DIRICHLET)
         res = lowest_eigenpairs(F, k, tol)
         row.append(_fmt(float(res.eigenvalues[0])))
@@ -479,23 +469,12 @@ def main(argv=None) -> int:
             validate_config(cfg)
         out_dir = args.out or cfg.get("output_dir", "out")
         Runner(cfg, out_dir, workers=args.workers).run()
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConvergenceError as exc:
-        print(f"solver did not converge: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except (
-        InapplicableError,
-        NotAttractiveOnAverageError,
-        EssentialBottomNotZeroError,
-        NotIntegrableError,
-    ) as exc:
-        print(f"inapplicable request: {exc}", file=sys.stderr)
-        return EXIT_INAPPLICABLE
     except RobinSpectraError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code, prefix = next(
+            (code, prefix) for types, code, prefix in EXIT_CODES if isinstance(exc, types)
+        )
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
     return 0
 
 

@@ -75,10 +75,6 @@ class DiscreteForm:
     def dimension(self) -> int:
         return self.n * self.n
 
-    def apply_nodal(self, v: np.ndarray) -> np.ndarray:
-        """Action of the ghost-eliminated difference operator on nodal values."""
-        return (self.matrix @ (self.scale * v)) / self.scale
-
     def to_nodal(self, w: np.ndarray) -> np.ndarray:
         """Convert a solver-basis vector to nodal values (unit weighted-L2)."""
         u = w / self.scale
@@ -182,23 +178,6 @@ def assemble(p: BoundaryPotential, grid: Grid, outer_bc: OuterBC) -> DiscreteFor
     )
 
 
-def rayleigh(F: DiscreteForm, v: np.ndarray, nodal: bool = True) -> float:
-    """Quadratic-form Rayleigh quotient.
-
-    With nodal=True the vector holds nodal samples and the quotient is taken
-    in the trapezoid-weighted inner product; with nodal=False the vector is
-    in the solver basis and the quotient is the plain (v'Av)/(v'v).
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (F.dimension,):
-        raise ValueError("vector dimension mismatch")
-    w = F.scale * v if nodal else v
-    denom = float(w @ w)
-    if denom == 0:
-        raise ValueError("zero vector has no Rayleigh quotient")
-    return float(w @ (F.matrix @ w)) / denom
-
-
 def inject_function(F: DiscreteForm, f: Callable[[float, float], float]) -> np.ndarray:
     """Sample f at the grid nodes in row-major indexing order."""
     n = F.n
@@ -211,14 +190,3 @@ def inject_function(F: DiscreteForm, f: Callable[[float, float], float]) -> np.n
                 raise ValueError(f"non-finite sample at node ({i}, {j}) = ({x}, {y})")
             out[i * n + j] = val
     return out
-
-
-def dump_matrix(F: DiscreteForm, path) -> None:
-    """Write the stored nonzeros in coordinate text format (row col value)."""
-    coo = F.matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        for k in order:
-            fh.write(
-                f"{coo.row[k]} {coo.col[k]} {format(coo.data[k], '.17g')}\n"
-            )

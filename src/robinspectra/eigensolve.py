@@ -151,9 +151,3 @@ def count_below(F: DiscreteForm, tau: float) -> int:
     raise FactorizationError(
         f"zero pivot persists near tau={tau}; perturb tau and retry"
     )
-
-
-def residual(F: DiscreteForm, lam: float, v: np.ndarray) -> float:
-    """Two-norm residual ||A v - lam v|| for a solver-basis vector v."""
-    v = np.asarray(v, dtype=np.float64)
-    return float(np.linalg.norm(F.matrix @ v - lam * v))

@@ -28,6 +28,13 @@ from robinspectra.potential import Constant, PiecewiseConstant, Step
 pytestmark = pytest.mark.filterwarnings("ignore:truncation radius")
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+COMMITTED_OUT = CONFIG_DIR.parent / "out"
+
+# Agreement with the committed preset outputs, as in the benchmark's check:
+# eigenvalues to the solver tolerance, eigenvector samples looser, the
+# closed-form reports near round-off.  Residuals are solver noise.
+COMMITTED_RTOL = {"solve.json": 1e-8, "decay.csv": 1e-6, "decay_fit.json": 1e-6}
+COMMITTED_RTOL_DEFAULT = 1e-9
 
 OSCILLATING = PiecewiseConstant((0.5, 1.0), (1.0, -0.4))
 
@@ -246,6 +253,59 @@ def test_criterion_9_oracle_equivalence(acceptance_record):
     )
 
 
+def _matches(new, ref, rtol):
+    """Parsed JSON or CSV values agree, numbers to rtol relative to 1 + |ref|."""
+    if isinstance(ref, dict):
+        return (
+            isinstance(new, dict)
+            and sorted(new) == sorted(ref)
+            and all(k == "residuals" or _matches(new[k], ref[k], rtol) for k in ref)
+        )
+    if isinstance(ref, list):
+        return (
+            isinstance(new, list)
+            and len(new) == len(ref)
+            and all(_matches(a, b, rtol) for a, b in zip(new, ref))
+        )
+    if isinstance(ref, (bool, str)) or ref is None:
+        return new == ref
+    return (
+        isinstance(new, (int, float))
+        and not isinstance(new, bool)
+        and abs(new - ref) <= rtol * (1.0 + abs(ref))
+    )
+
+
+def _load_output(path):
+    if path.suffix == ".csv":
+        def cell(x):
+            try:
+                return float(x)
+            except ValueError:
+                return x
+
+        return [[cell(x) for x in line.split(",")] for line in path.read_text().splitlines()]
+    obj = json.loads(path.read_text())
+    if path.name == "manifest.json":  # hashes of noisy files differ across machines
+        obj["outputs"] = sorted(obj["outputs"])
+    return obj
+
+
+def _differs_from_committed(out, ref_dir):
+    names = sorted(p.name for p in out.iterdir())
+    if names != sorted(p.name for p in ref_dir.iterdir()):
+        return ["file set"]
+    return [
+        name
+        for name in names
+        if not _matches(
+            _load_output(out / name),
+            _load_output(ref_dir / name),
+            COMMITTED_RTOL.get(name, COMMITTED_RTOL_DEFAULT),
+        )
+    ]
+
+
 def test_criterion_10_determinism(tmp_path, acceptance_record):
     ok = True
     details = []
@@ -260,6 +320,10 @@ def test_criterion_10_determinism(tmp_path, acceptance_record):
         same = names1 == names2 and all(
             (out1 / n).read_bytes() == (out2 / n).read_bytes() for n in names1
         )
-        ok = ok and same
-        details.append(f"{cfg.stem}:{'identical' if same else 'DIFFERS'}")
-    acceptance_record("10 determinism", ok, ", ".join(details))
+        differs = _differs_from_committed(out1, COMMITTED_OUT / cfg.stem)
+        ok = ok and same and not differs
+        details.append(
+            f"{cfg.stem}:{'identical' if same else 'DIFFERS'}, "
+            f"committed {'DIFFERS in ' + '/'.join(differs) if differs else 'agrees'}"
+        )
+    acceptance_record("10 determinism", ok, "; ".join(details))

@@ -3,13 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from robinspectra.analysis import (
-    decay_fit,
-    ground_state_positivity,
-    l2_distance,
-    richardson,
-    truncation_bracket,
-)
+from robinspectra.analysis import decay_fit, l2_distance, richardson
 from robinspectra.discretize import Grid, OuterBC, assemble, inject_function
 from robinspectra.eigensolve import lowest_eigenpairs
 from robinspectra.errors import NoAsymptoticRegimeError, UnderflowWindowError
@@ -18,19 +12,14 @@ from robinspectra.potential import Constant, Step
 pytestmark = pytest.mark.filterwarnings("ignore:truncation radius")
 
 
-def test_positivity_basic():
-    assert ground_state_positivity(np.array([1.0, 2.0, 0.5]), 1e-12)
-    assert ground_state_positivity(-np.array([1.0, 2.0, 0.5]), 1e-12)
-    assert not ground_state_positivity(np.array([1.0, -0.3, 0.5]), 1e-12)
-    assert ground_state_positivity(np.array([1.0, -1e-13, 0.5]), 1e-12)
-
-
 def test_positivity_of_computed_states():
     F = assemble(Step(1, 1), Grid(8, 0.1), OuterBC.DIRICHLET)
     res = lowest_eigenpairs(F, 2)
-    assert ground_state_positivity(res.nodal(0), 1e-10)
+    ground = res.nodal(0)
+    assert np.all(ground >= -1e-10) or np.all(ground <= 1e-10)
     if res.eigenvalues[1] < 0:
-        assert not ground_state_positivity(res.nodal(1), 1e-6)
+        excited = res.nodal(1)
+        assert excited.min() < -1e-6 and excited.max() > 1e-6
 
 
 @pytest.fixture(scope="module")
@@ -92,10 +81,16 @@ def test_decay_fit_underflow(analytic_state):
 
 
 def test_truncation_bracket_orders():
-    lo, hi = truncation_bracket(Step(1, 1), 8, 0.2, 2)
+    def bracket(R):
+        return [
+            lowest_eigenpairs(assemble(Step(1, 1), Grid(R, 0.2), bc), 2).eigenvalues
+            for bc in (OuterBC.NEUMANN, OuterBC.DIRICHLET)
+        ]
+
+    lo, hi = bracket(8)
     assert np.all(lo <= hi + 1e-10)
     # the bracket tightens as R grows
-    lo2, hi2 = truncation_bracket(Step(1, 1), 10, 0.2, 2)
+    lo2, hi2 = bracket(10)
     assert hi2[0] - lo2[0] <= hi[0] - lo[0] + 1e-12
 
 

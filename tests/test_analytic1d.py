@@ -2,30 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from robinspectra.analytic1d import (
-    Interval1DSpectrum,
     constant_reference,
-    halfline_bound_state,
     interval_ground_kappa,
-    interval_negative_count,
     interval_positive_roots,
     interval_spectrum,
     kappa_residual,
     root_function,
-    tensor_spectrum_symmetric,
 )
-
-
-def test_halfline_bound_state():
-    energy, profile = halfline_bound_state(1.0)
-    assert energy == -1
-    assert halfline_bound_state(0.5)[0] == -0.25
-    norm, _ = quad(lambda x: profile(x) ** 2, 0, 50)
-    assert norm == pytest.approx(1.0, abs=1e-10)
-    with pytest.raises(ValueError):
-        halfline_bound_state(0.0)
 
 
 def test_constant_reference():
@@ -34,7 +19,8 @@ def test_constant_reference():
     assert ref.ess_bottom == -1
     assert ref.ground_state(0, 0) == 2
     assert ref.ground_state(1, 1) == pytest.approx(2 * math.exp(-2))
-    assert ref.ground_energy == 2 * halfline_bound_state(1.0)[0]
+    # twice the half-line bound state energy -sigma**2
+    assert ref.ground_energy == 2 * -(1.0**2)
 
 
 def test_interval_ground_kappa_examples():
@@ -59,15 +45,9 @@ def test_kappa_monotonicity(sigma_hat):
 
 
 def test_kappa_halfline_limit():
-    # L -> infinity recovers the half-line bound state energy
+    # L -> infinity recovers the half-line bound state energy -sigma**2
     kappa = interval_ground_kappa(0.8, 60)
-    assert -(kappa**2) == pytest.approx(halfline_bound_state(0.8)[0], abs=1e-10)
-
-
-def test_interval_negative_count():
-    assert interval_negative_count(1, 1) == 1
-    assert interval_negative_count(2, 1) == 1
-    assert interval_negative_count(3, 1) == 2
+    assert -(kappa**2) == pytest.approx(-(0.8**2), abs=1e-10)
 
 
 def test_positive_roots_neumann_limit():
@@ -105,29 +85,3 @@ def test_interval_spectrum_structure():
     with pytest.raises(ValueError):
         interval_spectrum(3.0, 1.0, 10.0)
 
-
-def test_tensor_spectrum_symmetric():
-    spec = Interval1DSpectrum(
-        L=1.0,
-        sigma_hat=1.0,
-        kappa=math.sqrt(2.38),
-        negative_eigenvalues=(-2.38,),
-        positive_roots=(math.sqrt(3.1), math.sqrt(9.9)),
-        eigenvalues=(-2.38, 3.1, 9.9),
-    )
-    sums = tensor_spectrum_symmetric(spec, 1.0)
-    assert sums == pytest.approx([-4.76, 0.72])
-    assert tensor_spectrum_symmetric(spec, 2 * -2.38 - 1) == []
-    # symmetric sector never exceeds the full tensor count
-    full = [
-        a + b for a in spec.eigenvalues for b in spec.eigenvalues if a + b <= 25.0
-    ]
-    assert len(tensor_spectrum_symmetric(spec, 25.0)) <= len(full)
-    # brute-force double loop oracle
-    brute = sorted(
-        spec.eigenvalues[n] + spec.eigenvalues[m]
-        for n in range(3)
-        for m in range(n + 1)
-        if spec.eigenvalues[n] + spec.eigenvalues[m] <= 25.0
-    )
-    assert tensor_spectrum_symmetric(spec, 25.0) == pytest.approx(brute)

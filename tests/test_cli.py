@@ -3,8 +3,15 @@ import math
 
 import pytest
 
+from robinspectra import cli
 from robinspectra.cli import main, validate_config
-from robinspectra.errors import ConfigError
+from robinspectra.errors import (
+    ConfigError,
+    ConvergenceError,
+    FactorizationError,
+    NotIntegrableError,
+    UnderflowWindowError,
+)
 
 pytestmark = pytest.mark.filterwarnings("ignore:truncation radius")
 
@@ -79,6 +86,25 @@ def test_main_inapplicable_exit_code(tmp_path):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 4
 
 
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        (ConvergenceError, 3),
+        (FactorizationError, 3),
+        (NotIntegrableError, 4),
+        (UnderflowWindowError, 1),
+    ],
+)
+def test_main_exit_code_table(tmp_path, monkeypatch, capsys, exc, code):
+    def fail(*args, **kwargs):
+        raise exc("boom")
+
+    monkeypatch.setattr(cli, "full_report", fail)
+    path = write_cfg(tmp_path, base_config())
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err.rstrip().endswith(": boom")
+
+
 def test_run_bounds_and_manifest(tmp_path):
     path = write_cfg(tmp_path, base_config())
     out = tmp_path / "out"
@@ -108,7 +134,8 @@ def test_run_solve_bracket_and_richardson(tmp_path):
     assert len(solve["results"]["dirichlet"]) == 3
     br = solve["bracket"]
     assert br["h"] == 0.125
-    assert br["lo"][0] <= br["hi"][0]
+    assert len(br["lo"]) == len(br["hi"]) == 2
+    assert all(lo <= hi for lo, hi in zip(br["lo"], br["hi"]))
     # boundary-value discontinuity degrades the observed order below 2
     assert 0.8 <= solve["richardson"]["dirichlet"]["order"] <= 2.5
 
@@ -200,6 +227,14 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
 
 
+def _read_decay(out):
+    fit = json.loads((out / "decay_fit.json").read_text())
+    lines = (out / "decay.csv").read_text().strip().splitlines()
+    assert lines[0] == "r,abs_phi,model"
+    rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+    return fit, rows
+
+
 def test_decay_outputs(tmp_path):
     cfg = base_config(
         grid={"R": 10.0, "h": 0.1},
@@ -209,12 +244,34 @@ def test_decay_outputs(tmp_path):
     path = write_cfg(tmp_path, cfg)
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
-    fit = json.loads((out / "decay_fit.json").read_text())
+    fit, rows = _read_decay(out)
     assert fit["slope"] < 0
     assert fit["energy"] < 0
     assert fit["predicted_rate"] == pytest.approx(-math.sqrt(abs(fit["energy"])))
-    lines = (out / "decay.csv").read_text().strip().splitlines()
-    assert lines[0] == "r,abs_phi,model"
-    rs = [float(l.split(",")[0]) for l in lines[1:]]
+    rs = [r for r, _, _ in rows]
     assert rs == sorted(rs)
-    assert all(float(l.split(",")[1]) > 0 for l in lines[1:])
+    assert all(phi > 0 for _, phi, _ in rows)
+    for r, _, model in rows:
+        expected = math.exp(fit["intercept"] + fit["predicted_rate"] * r) / math.sqrt(r)
+        assert model == pytest.approx(expected, rel=1e-12)
+
+    # axis ray without the 1/sqrt(r) prefactor: nodes h apart, pure exponential
+    cfg["decay"] = {"ray": [1.0, 0.0], "r_min": 2.5, "r_max": 7.5, "with_prefactor": False}
+    path = write_cfg(tmp_path, cfg)
+    out = tmp_path / "axis"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    fit, rows = _read_decay(out)
+    assert fit["with_prefactor"] is False
+    rs = [r for r, _, _ in rows]
+    assert all(b - a == pytest.approx(0.1, abs=1e-12) for a, b in zip(rs, rs[1:]))
+    for r, _, model in rows:
+        expected = math.exp(fit["intercept"] + fit["predicted_rate"] * r)
+        assert model == pytest.approx(expected, rel=1e-12)
+
+
+def test_decay_window_rejected_exit_code(tmp_path, capsys):
+    # r_max beyond R - 2 is rejected by the fit after the solve
+    cfg = base_config(grid={"R": 10.0, "h": 0.2}, tasks=["decay"], decay={"r_max": 9.5})
+    path = write_cfg(tmp_path, cfg)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: decay window rejected")
