@@ -16,14 +16,12 @@ from .errors import (
     EssentialBottomNotZeroError,
     InapplicableError,
     NotAttractiveOnAverageError,
-    NotIntegrableError,
 )
 from .potential import BoundaryPotential, Constant
 
 
 class EssClass(Enum):
     NON_POSITIVE_TAIL = "NonPositiveTail"
-    VANISHING_TAIL = "VanishingTail"
     CONSTANT_POSITIVE = "ConstantPositive"
     INCONCLUSIVE = "Inconclusive"
 
@@ -138,11 +136,7 @@ def full_report(p: BoundaryPotential, n_max: int = 40) -> BoundsReport:
 
     try:
         certificate = bound_state_certificate(p, n_max)
-    except (
-        NotAttractiveOnAverageError,
-        EssentialBottomNotZeroError,
-        NotIntegrableError,
-    ):
+    except InapplicableError:
         certificate = None
 
     try:

@@ -31,12 +31,9 @@ from .eigensolve import count_below, lowest_eigenpairs
 from .errors import (
     ConfigError,
     ConvergenceError,
-    EssentialBottomNotZeroError,
     FactorizationError,
     InapplicableError,
     NoAsymptoticRegimeError,
-    NotAttractiveOnAverageError,
-    NotIntegrableError,
     RobinSpectraError,
 )
 from .potential import Constant, Step, potential_from_dict
@@ -49,9 +46,6 @@ EXIT_CODES = (
     (ConvergenceError, 3, "solver did not converge"),
     (FactorizationError, 3, "factorization broke down"),
     (InapplicableError, 4, "inapplicable request"),
-    (NotAttractiveOnAverageError, 4, "inapplicable request"),
-    (EssentialBottomNotZeroError, 4, "inapplicable request"),
-    (NotIntegrableError, 4, "inapplicable request"),
     (RobinSpectraError, 1, "error"),
 )
 
@@ -109,9 +103,13 @@ def validate_config(cfg: dict) -> None:
     _check_keys(grid, {"R", "h"}, "grid")
     if "R" not in grid or "h" not in grid:
         raise ConfigError("grid needs both R and h")
-    hs = _h_list(grid)
-    for h in hs:
-        Grid(float(grid["R"]), h)
+    try:
+        hs = _h_list(grid)
+        dims = [Grid(float(grid["R"]), h).intervals ** 2 for h in hs]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad grid: {exc}") from exc
+    if not hs:
+        raise ConfigError("grid h-list is empty")
     if len(hs) >= 2:
         for h1, h2 in zip(hs, hs[1:]):
             if abs(h1 / h2 - 2.0) > 1e-9:
@@ -121,6 +119,14 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError(f"outer_bc must be dirichlet, neumann or both, got {bc!r}")
     solver = cfg.get("solver", {})
     _check_keys(solver, {"k", "tol"}, "solver")
+    try:
+        k, tol = float(solver.get("k", 1)), float(solver.get("tol", 1e-8))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad solver settings: {exc}") from exc
+    if not (k.is_integer() and 1 <= k < min(dims) - 1 and tol > 0):
+        raise ConfigError(
+            f"solver needs an integer 1 <= k < {min(dims) - 1} and tol > 0"
+        )
     tasks = cfg["tasks"]
     if not isinstance(tasks, list) or not tasks:
         raise ConfigError("tasks must be a non-empty list")
@@ -135,6 +141,7 @@ def validate_config(cfg: dict) -> None:
         "decay",
     )
     _check_keys(cfg.get("sweep", {}), {"sigma", "L", "solve"}, "sweep")
+    _sweep_axes(cfg.get("sweep", {}))
     if "sweep" in cfg["tasks"] and "sweep" not in cfg:
         raise ConfigError("sweep task requested but no sweep section given")
 
@@ -144,6 +151,16 @@ def _h_list(grid_cfg: dict) -> list[float]:
     if isinstance(h, (int, float)):
         return [float(h)]
     return [float(x) for x in h]
+
+
+def _sweep_axes(scfg: dict) -> tuple[list[float], list[float]]:
+    """The sweep's sigma and L values; a value a Step rejects is a config error."""
+    try:
+        sigmas = [float(s) for s in scfg.get("sigma", [])]
+        lengths = [Step(1.0, float(L)).L for L in scfg.get("L", [])]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad sweep values: {exc}") from exc
+    return sigmas, lengths
 
 
 def _bcs(cfg: dict) -> list[OuterBC]:
@@ -395,8 +412,7 @@ class Runner:
 
     def task_sweep(self) -> None:
         scfg = self.cfg["sweep"]
-        sigmas = [float(s) for s in scfg.get("sigma", [])]
-        lengths = [float(L) for L in scfg.get("L", [])]
+        sigmas, lengths = _sweep_axes(scfg)
         do_solve = bool(scfg.get("solve", False))
         points = [(s, L) for s in sigmas for L in lengths]
         budget = SWEEP_BUDGET_SOLVE if do_solve else SWEEP_BUDGET_BOUNDS

@@ -1,17 +1,21 @@
 """Finite-difference realization of the Robin quadratic form on [0, R]^2.
 
 The form is discretized with composite-trapezoid weights: edge differences
-carry the transverse trapezoid weight, the boundary strength is sampled at
-the boundary nodes with half weight at the corner.  This produces a
-symmetric stiffness matrix K and a diagonal lumped mass M.  The matrix
-stored in :class:`DiscreteForm` is the mass-scaled similarity
+carry the transverse 1D trapezoid weight w1 (1/2 at y = 0 and, for outer
+Neumann, at y = R), the edges to an eliminated outer Dirichlet layer are
+kept, and the boundary strength is sampled at the boundary nodes with half
+weight at the corner.  Scaling the stiffness K by the lumped mass
+M = h^2 (w1 x w1) gives the matrix stored in :class:`DiscreteForm`,
 
-    A = M^{-1/2} K M^{-1/2},
+    A = M^{-1/2} K M^{-1/2} = T (x) I + I (x) T + D_Gamma,
 
-which is exactly symmetric, has at most five nonzeros per row, and shares
-its spectrum with the ghost-node-eliminated difference operator (interior
-rows are the plain 5-point stencil / h^2, Robin rows carry -2*sigma/h on the
-diagonal).  Nodal vectors u and solver vectors w are related by w = scale*u.
+where T = diag(1/(h sqrt(w1))) S diag(1/(h sqrt(w1))) is the 1D operator
+with sigma = 0 (S has off-diagonals -1 and diagonal 2, or 1 at the Robin
+node and at an outer Neumann node), and D_Gamma is diagonal with
+-2*sigma(y)/h at each node of the Robin edges x = 0 and y = 0; the corner
+gets both edges' terms.  A is exactly symmetric, has at most five nonzeros
+per row, and shares its spectrum with the ghost-node-eliminated 5-point
+operator.  Nodal vectors u and solver vectors w are related by w = scale*u.
 """
 from __future__ import annotations
 
@@ -104,75 +108,27 @@ def assemble(p: BoundaryPotential, grid: Grid, outer_bc: OuterBC) -> DiscreteFor
 
     h = grid.h
     n = grid.npts(outer_bc)
-    neumann = outer_bc is OuterBC.NEUMANN
 
     # 1D trapezoid weights per side index: half at the physical boundary node,
     # half at the outer node only when that node exists (Neumann).
     w1 = np.ones(n)
     w1[0] = 0.5
-    if neumann:
+    if outer_bc is OuterBC.NEUMANN:
         w1[-1] = 0.5
 
-    coords = grid.coords(outer_bc)
-    sigma_nodes = np.array([p.eval(float(y)) for y in coords])
+    # T = W^{-1/2} S W^{-1/2} / h^2; S's diagonal 2 or 1 is exactly 2*w1.
+    d = 1.0 / (h * np.sqrt(w1))
+    off = -d[:-1] * d[1:]
+    T = sp.diags([off, 2.0 * w1 * d * d, off], [-1, 0, 1])
 
-    def idx(i, j):
-        return i * n + j
+    # Robin terms -2*sigma/h on the edges x = 0 and y = 0; the corner gets both.
+    sigma_nodes = np.array([p.eval(float(y)) for y in grid.coords(outer_bc)])
+    gamma = np.zeros((n, n))
+    gamma[0, :] -= 2.0 * sigma_nodes / h
+    gamma[:, 0] -= 2.0 * sigma_nodes / h
+    A = (sp.kronsum(T, T) + sp.diags(gamma.ravel())).tocsr()
 
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-
-    def add(r, c, v):
-        rows.append(np.asarray(r, dtype=np.int64))
-        cols.append(np.asarray(c, dtype=np.int64))
-        vals.append(np.asarray(v, dtype=np.float64))
-
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-
-    # x-direction edges between (i, j) and (i+1, j), transverse weight w1[j]
-    a = idx(ii[:-1, :], jj[:-1, :]).ravel()
-    b = idx(ii[:-1, :] + 1, jj[:-1, :]).ravel()
-    t = np.broadcast_to(w1, (n - 1, n)).ravel()
-    add(a, a, t)
-    add(b, b, t)
-    add(a, b, -t)
-    add(b, a, -t)
-    if not neumann:
-        # edge from the last kept node to the eliminated zero layer at x = R
-        a = idx(np.full(n, n - 1), np.arange(n))
-        add(a, a, w1)
-
-    # y-direction edges between (i, j) and (i, j+1), transverse weight w1[i]
-    a = idx(ii[:, :-1], jj[:, :-1]).ravel()
-    b = idx(ii[:, :-1], jj[:, :-1] + 1).ravel()
-    t = np.repeat(w1, n - 1)
-    add(a, a, t)
-    add(b, b, t)
-    add(a, b, -t)
-    add(b, a, -t)
-    if not neumann:
-        a = idx(np.arange(n), np.full(n, n - 1))
-        add(a, a, w1)
-
-    # Robin boundary terms: -h * sigma * |u|^2 along x = 0 and y = 0 with
-    # trapezoid weights along each edge (half weight at the shared corner).
-    a = idx(np.zeros(n, dtype=int), np.arange(n))
-    add(a, a, -h * sigma_nodes * w1)
-    a = idx(np.arange(n), np.zeros(n, dtype=int))
-    add(a, a, -h * sigma_nodes * w1)
-
-    K = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n * n, n * n),
-    ).tocsr()
-
-    mass = np.outer(w1, w1).ravel()
-    scale = h * np.sqrt(mass)
-    D = sp.diags(1.0 / scale)
-    A = (D @ K @ D).tocsr()
-    A.sum_duplicates()
-
+    scale = h * np.sqrt(np.outer(w1, w1).ravel())
     return DiscreteForm(
         matrix=A, outer_bc=outer_bc, grid=grid, potential=p, scale=scale, n=n
     )

@@ -9,21 +9,21 @@ class ConfigError(RobinSpectraError):
     """Malformed or inconsistent experiment configuration."""
 
 
-class NotIntegrableError(RobinSpectraError):
+class InapplicableError(RobinSpectraError):
+    """A requested bound or theorem-check does not apply to this potential."""
+
+
+class NotIntegrableError(InapplicableError):
     """Raised when an integral over infinite support is requested."""
 
 
-class NotAttractiveOnAverageError(RobinSpectraError):
+class NotAttractiveOnAverageError(InapplicableError):
     """The potential does not integrate to a positive value."""
 
 
-class EssentialBottomNotZeroError(RobinSpectraError):
+class EssentialBottomNotZeroError(InapplicableError):
     """The essential spectrum does not start at zero, so the test-function
     certificate proves nothing."""
-
-
-class InapplicableError(RobinSpectraError):
-    """A requested bound or theorem-check does not apply to this potential."""
 
 
 class ConvergenceError(RobinSpectraError):

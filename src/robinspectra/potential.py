@@ -176,9 +176,9 @@ class PiecewiseConstant(_CompactlySupported):
 class Tabulated(_CompactlySupported):
     """Samples on a uniform grid y_k = k * h_s, zero beyond the last sample.
 
-    Pointwise evaluation uses the nearest sample; the integral functionals
-    use the cell [k*h_s, (k+1)*h_s) per sample so that the plain integral is
-    exactly h_s times the sample sum.
+    Sample k holds on the cell [k*h_s, (k+1)*h_s), both pointwise and in the
+    integral functionals, so the plain integral is exactly h_s times the
+    sample sum and sigma vanishes from support_bound() on.
     """
 
     samples: tuple[float, ...]
@@ -196,13 +196,6 @@ class Tabulated(_CompactlySupported):
             (k * self.h_s, (k + 1) * self.h_s, s)
             for k, s in enumerate(self.samples)
         ]
-
-    def eval(self, y):
-        _check_y(y)
-        k = int(round(y / self.h_s))
-        if k >= len(self.samples):
-            return 0.0
-        return self.samples[k]
 
 
 def potential_from_dict(spec: dict) -> BoundaryPotential:

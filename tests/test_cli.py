@@ -8,7 +8,9 @@ from robinspectra.cli import main, validate_config
 from robinspectra.errors import (
     ConfigError,
     ConvergenceError,
+    EssentialBottomNotZeroError,
     FactorizationError,
+    NotAttractiveOnAverageError,
     NotIntegrableError,
     UnderflowWindowError,
 )
@@ -51,6 +53,21 @@ def test_validate_config_accepts_base():
         lambda c: c["solver"].update(maxiter=10),
         lambda c: c["grid"].update(h=[0.2, 0.15]),
         lambda c: c.update(tasks=["sweep"]),  # sweep without a sweep section
+        lambda c: c["grid"].update(R=1, h=0.3),  # R/h not an integer
+        lambda c: c["grid"].update(R=-6.0),
+        lambda c: c["grid"].update(h=0),
+        lambda c: c["grid"].update(h="x"),
+        lambda c: c["grid"].update(R=None),
+        lambda c: c["grid"].update(h=[]),
+        lambda c: c["solver"].update(k=0),
+        lambda c: c["solver"].update(k=1.5),
+        lambda c: c["solver"].update(k=900),  # not below the dimension - 1
+        lambda c: c["solver"].update(k="two"),
+        lambda c: c["solver"].update(tol=0),
+        lambda c: c["solver"].update(tol=-1e-8),
+        lambda c: c.update(sweep={"sigma": [1, "x"], "L": [1.0]}),
+        lambda c: c.update(sweep={"sigma": [1.0], "L": [0.0]}),
+        lambda c: c.update(sweep={"sigma": 1.0, "L": [1.0]}),
     ],
 )
 def test_validate_config_rejections(mutate):
@@ -67,6 +84,12 @@ def test_h_list_ratio_two_accepted():
 def test_main_config_error_exit_code(tmp_path):
     path = write_cfg(tmp_path, base_config(extra=1))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_main_malformed_number_exit_code(tmp_path, capsys):
+    path = write_cfg(tmp_path, base_config(grid={"R": 1, "h": 0.3}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: bad grid")
 
 
 def test_main_missing_config_exit_code(tmp_path):
@@ -92,6 +115,8 @@ def test_main_inapplicable_exit_code(tmp_path):
         (ConvergenceError, 3),
         (FactorizationError, 3),
         (NotIntegrableError, 4),
+        (EssentialBottomNotZeroError, 4),
+        (NotAttractiveOnAverageError, 4),
         (UnderflowWindowError, 1),
     ],
 )

@@ -7,7 +7,7 @@ from scipy.linalg import eigh
 from robinspectra.analysis import richardson
 from robinspectra.discretize import Grid, OuterBC, assemble, inject_function
 from robinspectra.eigensolve import lowest_eigenpairs
-from robinspectra.potential import Constant, Step
+from robinspectra.potential import Constant, PiecewiseConstant, Step
 
 # small grids are deliberate here; silence the truncation advisory
 pytestmark = pytest.mark.filterwarnings("ignore:truncation radius")
@@ -27,6 +27,29 @@ def test_symmetry_exact():
         for bc in OuterBC:
             F = assemble(p, Grid(3, 0.25), bc)
             assert abs(F.matrix - F.matrix.T).max() == 0.0
+
+
+@pytest.mark.parametrize("bc", list(OuterBC))
+@pytest.mark.parametrize("p", [Step(0.7, 1), PiecewiseConstant((0.5, 1), (1, -0.4))])
+def test_form_matches_trapezoid_quadrature(p, bc):
+    g = Grid(3, 0.25)
+    F = assemble(p, g, bc)
+    n, h = F.n, g.h
+    u = np.random.default_rng(7).standard_normal((n, n))
+    w1 = np.ones(n)
+    w1[0] = 0.5
+    if bc is OuterBC.NEUMANN:
+        w1[-1] = 0.5
+    # edge differences along x and y, each weighted by the transverse w1
+    q = np.sum(w1[None, :] * np.diff(u, axis=0) ** 2)
+    q += np.sum(w1[:, None] * np.diff(u, axis=1) ** 2)
+    if bc is OuterBC.DIRICHLET:
+        # edges from the last kept layer to the eliminated zero layer at R
+        q += np.sum(w1 * u[-1, :] ** 2) + np.sum(w1 * u[:, -1] ** 2)
+    sigma = np.array([p.eval(float(y)) for y in g.coords(bc)])
+    q -= h * np.sum(sigma * w1 * (u[0, :] ** 2 + u[:, 0] ** 2))
+    w = F.scale * u.ravel()
+    assert float(w @ (F.matrix @ w)) == pytest.approx(q, rel=1e-12)
 
 
 def test_at_most_five_nonzeros_per_row():

@@ -72,11 +72,14 @@ def test_stretched_weighted_integral():
         Constant(1).stretched_weighted_integral(0.5)
 
 
-def test_tabulated_nearest_sample_eval():
+def test_tabulated_cell_eval():
     p = Tabulated([1.0, 2.0, 3.0], 0.5)
     assert p.eval(0.1) == 1.0
-    assert p.eval(0.4) == 2.0
+    assert p.eval(0.4) == 1.0
     assert p.eval(1.01) == 3.0
+    assert p.eval(1.49) == 3.0
+    assert p.eval(1.5) == 0.0
+    assert p.support_bound() == 1.5
     assert p.eval(5.0) == 0.0
     assert p.integral() == pytest.approx(0.5 * 6.0)
 
