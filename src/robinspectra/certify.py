@@ -16,6 +16,7 @@ from .errors import (
     EssentialBottomNotZeroError,
     InapplicableError,
     NotAttractiveOnAverageError,
+    RobinSpectraError,
 )
 from .potential import BoundaryPotential, Constant
 
@@ -58,7 +59,11 @@ def ground_energy_sandwich(p: BoundaryPotential) -> tuple[float, float]:
         return (0.0, 0.0)
     lo = -2.0 * sigma_hat ** 2
     hi = 2.0 * sigma_hat ** 2 - 8.0 * sigma_hat ** 2 * p.weighted_integral(2 * sigma_hat)
-    assert lo <= hi + 1e-12 * max(1.0, abs(lo))
+    if lo > hi + 1e-12 * max(1.0, abs(lo)):
+        raise RobinSpectraError(
+            f"sandwich lower bound {lo} exceeds upper bound {hi}: the potential's "
+            "weighted integral is inconsistent with its ess_sup"
+        )
     return (lo, max(lo, hi))
 
 

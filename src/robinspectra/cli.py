@@ -58,6 +58,8 @@ def _fmt(x: float) -> str:
 
 
 def _check_keys(section: dict, allowed: set, where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a mapping, got {section!r}")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
@@ -134,16 +136,30 @@ def validate_config(cfg: dict) -> None:
         if t not in TASKS:
             raise ConfigError(f"unknown task {t!r}")
     _check_keys(cfg.get("certify", {}), {"n_max"}, "certify")
+    n_max = cfg.get("certify", {}).get("n_max", 40)
+    if not (_is_number(n_max) and isinstance(n_max, int) and n_max >= 1):
+        raise ConfigError(f"certify.n_max must be an integer >= 1, got {n_max!r}")
     _check_keys(cfg.get("roots1d", {}), {"k_max"}, "roots1d")
+    k_max = cfg.get("roots1d", {}).get("k_max", 10.0)
+    if not (_is_number(k_max) and 0 < k_max < math.inf):
+        raise ConfigError(f"roots1d.k_max must be a positive number, got {k_max!r}")
     _check_keys(
         cfg.get("decay", {}),
         {"ray", "r_min", "r_max", "with_prefactor"},
         "decay",
     )
+    for key in ("r_min", "r_max"):
+        r = cfg.get("decay", {}).get(key)
+        if r is not None and not (_is_number(r) and math.isfinite(r)):
+            raise ConfigError(f"decay.{key} must be a number, got {r!r}")
     _check_keys(cfg.get("sweep", {}), {"sigma", "L", "solve"}, "sweep")
     _sweep_axes(cfg.get("sweep", {}))
     if "sweep" in cfg["tasks"] and "sweep" not in cfg:
         raise ConfigError("sweep task requested but no sweep section given")
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _h_list(grid_cfg: dict) -> list[float]:

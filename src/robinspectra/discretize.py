@@ -74,6 +74,9 @@ class DiscreteForm:
     potential: BoundaryPotential
     scale: np.ndarray = field(repr=False)  # sqrt of lumped mass per node
     n: int  # nodes per side
+    t_diag: np.ndarray = field(repr=False)  # diagonal of T
+    t_off: np.ndarray = field(repr=False)  # off-diagonal of T
+    robin: np.ndarray = field(repr=False)  # -2*sigma(y_j)/h per edge node j
 
     @property
     def dimension(self) -> int:
@@ -118,19 +121,21 @@ def assemble(p: BoundaryPotential, grid: Grid, outer_bc: OuterBC) -> DiscreteFor
 
     # T = W^{-1/2} S W^{-1/2} / h^2; S's diagonal 2 or 1 is exactly 2*w1.
     d = 1.0 / (h * np.sqrt(w1))
-    off = -d[:-1] * d[1:]
-    T = sp.diags([off, 2.0 * w1 * d * d, off], [-1, 0, 1])
+    t_off = -d[:-1] * d[1:]
+    t_diag = 2.0 * w1 * d * d
+    T = sp.diags([t_off, t_diag, t_off], [-1, 0, 1])
 
     # Robin terms -2*sigma/h on the edges x = 0 and y = 0; the corner gets both.
-    sigma_nodes = np.array([p.eval(float(y)) for y in grid.coords(outer_bc)])
+    robin = np.array([-2.0 * p.eval(float(y)) / h for y in grid.coords(outer_bc)])
     gamma = np.zeros((n, n))
-    gamma[0, :] -= 2.0 * sigma_nodes / h
-    gamma[:, 0] -= 2.0 * sigma_nodes / h
+    gamma[0, :] += robin
+    gamma[:, 0] += robin
     A = (sp.kronsum(T, T) + sp.diags(gamma.ravel())).tocsr()
 
     scale = h * np.sqrt(np.outer(w1, w1).ravel())
     return DiscreteForm(
-        matrix=A, outer_bc=outer_bc, grid=grid, potential=p, scale=scale, n=n
+        matrix=A, outer_bc=outer_bc, grid=grid, potential=p, scale=scale, n=n,
+        t_diag=t_diag, t_off=t_off, robin=robin,
     )
 
 

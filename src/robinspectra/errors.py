@@ -35,7 +35,9 @@ class ConvergenceError(RobinSpectraError):
 
 
 class FactorizationError(RobinSpectraError):
-    """Triangular factorization broke down; suggests perturbing the shift."""
+    """A factorization broke down: the inertia count's pivots stay zero when
+    tau is perturbed, or the shift-invert capacitance matrix is singular
+    because the shift touches the spectrum."""
 
 
 class UnderflowWindowError(RobinSpectraError):

@@ -17,8 +17,9 @@ from robinspectra.errors import (
     EssentialBottomNotZeroError,
     InapplicableError,
     NotAttractiveOnAverageError,
+    RobinSpectraError,
 )
-from robinspectra.potential import Constant, PiecewiseConstant, Step
+from robinspectra.potential import BoundaryPotential, Constant, PiecewiseConstant, Step
 
 
 def test_crude_lower_bound():
@@ -30,6 +31,21 @@ def test_crude_lower_bound():
 def test_sandwich_constant_saturates():
     assert ground_energy_sandwich(Constant(1.0)) == pytest.approx((-2.0, -2.0))
     assert ground_energy_sandwich(Constant(0.0)) == (0.0, 0.0)
+
+
+class _HeavierThanSup(BoundaryPotential):
+    """sigma_hat = 1, yet a weighted integral above the sup's 1/(2*sigma_hat)."""
+
+    def ess_sup(self):
+        return 1.0
+
+    def weighted_integral(self, a):
+        return 1.0
+
+
+def test_sandwich_invariant_violation_raises():
+    with pytest.raises(RobinSpectraError, match="exceeds upper bound"):
+        ground_energy_sandwich(_HeavierThanSup())
 
 
 def test_sandwich_step():

@@ -68,6 +68,19 @@ def test_validate_config_accepts_base():
         lambda c: c.update(sweep={"sigma": [1, "x"], "L": [1.0]}),
         lambda c: c.update(sweep={"sigma": [1.0], "L": [0.0]}),
         lambda c: c.update(sweep={"sigma": 1.0, "L": [1.0]}),
+        lambda c: c.update(certify={"n_max": 0}),
+        lambda c: c.update(certify={"n_max": 2.5}),
+        lambda c: c.update(certify={"n_max": "ten"}),
+        lambda c: c.update(certify={"n_max": True}),
+        lambda c: c.update(roots1d={"k_max": 0}),
+        lambda c: c.update(roots1d={"k_max": -3.0}),
+        lambda c: c.update(roots1d={"k_max": "ten"}),
+        lambda c: c.update(roots1d={"k_max": math.inf}),
+        lambda c: c.update(decay={"r_min": "x"}),
+        lambda c: c.update(decay={"r_max": [4.0]}),
+        lambda c: c.update(decay={"r_min": math.nan}),
+        lambda c: c.update(certify=5),
+        lambda c: c.update(solver=3),
     ],
 )
 def test_validate_config_rejections(mutate):
@@ -90,6 +103,12 @@ def test_main_malformed_number_exit_code(tmp_path, capsys):
     path = write_cfg(tmp_path, base_config(grid={"R": 1, "h": 0.3}))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("config error: bad grid")
+
+
+def test_main_non_numeric_decay_window_exit_code(tmp_path, capsys):
+    path = write_cfg(tmp_path, base_config(tasks=["decay"], decay={"r_min": "x"}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: decay.r_min")
 
 
 def test_main_missing_config_exit_code(tmp_path):
@@ -157,6 +176,10 @@ def test_run_solve_bracket_and_richardson(tmp_path):
     solve = json.loads((out / "solve.json").read_text())
     assert set(solve["results"]) == {"neumann", "dirichlet"}
     assert len(solve["results"]["dirichlet"]) == 3
+    # the solver's operator count is a trace, not a result
+    for per_h in solve["results"].values():
+        for entry in per_h.values():
+            assert set(entry) == {"eigenvalues", "residuals", "negative_count", "converged"}
     br = solve["bracket"]
     assert br["h"] == 0.125
     assert len(br["lo"]) == len(br["hi"]) == 2

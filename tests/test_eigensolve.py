@@ -4,8 +4,14 @@ from scipy.linalg import eigh
 
 from robinspectra.certify import crude_lower_bound
 from robinspectra.discretize import Grid, OuterBC, assemble
-from robinspectra.eigensolve import count_below, lowest_eigenpairs
-from robinspectra.potential import Constant, PiecewiseConstant, Step
+from robinspectra.eigensolve import (
+    _certified_shift,
+    _shift_inverse,
+    count_below,
+    lowest_eigenpairs,
+)
+from robinspectra.errors import FactorizationError
+from robinspectra.potential import Constant, PiecewiseConstant, Step, Tabulated
 
 # small grids are deliberate here; silence the truncation advisory
 pytestmark = pytest.mark.filterwarnings("ignore:truncation radius")
@@ -36,6 +42,65 @@ def test_sparse_matches_dense(small_step_form):
     sparse = lowest_eigenpairs(F, 4, method="shift_invert")
     dense = lowest_eigenpairs(F, 4, method="dense")
     assert np.abs(sparse.eigenvalues - dense.eigenvalues).max() < 1e-9
+
+
+# Forms that exercise each branch of the structured shift-invert solve.
+STRUCTURED_FORMS = {
+    # outer Neumann keeps the node at R, so T's last diagonal entry is halved
+    "neumann_step": (Step(1, 1), OuterBC.NEUMANN),
+    # the corner sits on both edges: |Gamma| = 2n - 1 and the bound is attained
+    "constant_one": (Constant(1.0), OuterBC.DIRICHLET),
+    # no Robin node: no capacitance matrix at all
+    "constant_zero": (Constant(0.0), OuterBC.DIRICHLET),
+    # sigma < 0 on part of the edge: D_Gamma has both signs
+    "oscillating": (PiecewiseConstant((0.5, 1.0), (1.0, -0.4)), OuterBC.DIRICHLET),
+    "tabulated": (Tabulated((1.0, 0.5, -0.2, 0.8), 0.3), OuterBC.DIRICHLET),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(STRUCTURED_FORMS))
+def structured_form(request):
+    p, bc = STRUCTURED_FORMS[request.param]
+    F = assemble(p, Grid(4, 0.2), bc)
+    return F, eigh(F.matrix.toarray(), eigvals_only=True)
+
+
+def test_shift_invert_matches_dense_eigh(structured_form):
+    F, dense = structured_form
+    res = lowest_eigenpairs(F, 4, method="shift_invert")
+    assert np.abs(res.eigenvalues - dense[:4]).max() < 1e-9
+    assert res.applications > 0
+
+
+def test_certified_shift_strictly_below_spectrum(structured_form):
+    F, dense = structured_form
+    assert _certified_shift(F) < dense[0]
+
+
+def test_certified_shift_tight_for_constant_sigma():
+    F = assemble(Constant(1.0), Grid(4, 0.2), OuterBC.DIRICHLET)
+    lam0 = eigh(F.matrix.toarray(), eigvals_only=True)[0]
+    # the bound is the ground state, so only the margin separates them
+    assert 0 < lam0 - _certified_shift(F) < 1e-2
+
+
+def test_capacitance_breakdown_at_attained_bound():
+    F = assemble(Constant(1.0), Grid(4, 0.2), OuterBC.DIRICHLET)
+    lam0 = eigh(F.matrix.toarray(), eigvals_only=True)[0]
+    with pytest.raises(FactorizationError, match="capacitance"):
+        _shift_inverse(F, lam0)
+
+
+def test_shift_inverse_solves_shifted_system(structured_form):
+    F, _ = structured_form
+    shift = _certified_shift(F)
+    x = np.random.default_rng(3).standard_normal(F.dimension)
+    y = _shift_inverse(F, shift)(x)
+    assert np.linalg.norm(F.matrix @ y - shift * y - x) < 1e-10 * np.linalg.norm(x)
+
+
+def test_dense_path_counts_no_applications(small_step_form):
+    assert lowest_eigenpairs(small_step_form, 2, method="dense").applications == 0
 
 
 def test_result_invariants(small_step_form):
