@@ -1,9 +1,11 @@
 """Configuration-driven command line entry point.
 
 A single JSON config file describes the potential, the grid, the solver and
-the requested tasks; every command writes its results (JSON for reports,
-CSV for tables) into the output directory together with a manifest listing
-each output file with a content hash.  Identical configs produce
+the requested tasks.  `parse_config` is the one place that knows its format:
+it checks every key and fills in every default, and the tasks read only the
+typed `Config` it returns.  Every command writes its results (JSON for
+reports, CSV for tables) into the output directory together with a manifest
+listing each output file with a content hash.  Identical configs produce
 byte-identical result files.
 """
 from __future__ import annotations
@@ -14,6 +16,8 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -36,7 +40,7 @@ from .errors import (
     NoAsymptoticRegimeError,
     RobinSpectraError,
 )
-from .potential import Constant, Step, potential_from_dict
+from .potential import BoundaryPotential, Constant, PiecewiseConstant, Step, Tabulated
 
 TASKS = ("solve", "bounds", "certify", "roots1d", "reference", "decay", "sweep")
 
@@ -53,137 +57,201 @@ SWEEP_BUDGET_BOUNDS = 10_000
 SWEEP_BUDGET_SOLVE = 100
 
 
+@dataclass(frozen=True)
+class Config:
+    """A checked experiment config with every default filled in."""
+
+    potential: BoundaryPotential
+    R: float
+    hs: tuple[float, ...]  # descending in ratio 2
+    bcs: tuple[OuterBC, ...]
+    k: int
+    tol: float
+    tasks: tuple[str, ...]
+    n_max: int
+    k_max: float
+    ray: tuple[float, float]
+    r_min: float
+    r_max: float
+    with_prefactor: bool
+    sweep_sigma: tuple[float, ...]
+    sweep_L: tuple[float, ...]
+    sweep_solve: bool
+    output_dir: str
+    config_sha256: str
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _check_keys(section: dict, allowed: set, where: str) -> None:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where} must be a mapping, got {section!r}")
+def _require(ok, where: str, what: str, value) -> None:
+    if not ok:
+        raise ConfigError(f"{where} must be {what}, got {value!r}")
+
+
+def _check_keys(section, allowed: set, where: str, required: set = frozenset()) -> dict:
+    _require(isinstance(section, dict), where, "a mapping", section)
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+    missing = required - set(section)
+    if missing:
+        raise ConfigError(f"{where} is missing required keys {sorted(missing)}")
+    return section
 
 
-def load_config(path) -> dict:
+def _number(x, where: str) -> float:
+    ok = isinstance(x, (int, float)) and not isinstance(x, bool)
+    # the bound also rejects NaN and integers too large for a float
+    _require(ok and abs(x) <= sys.float_info.max, where, "a finite number", x)
+    return float(x)
+
+
+def _positive(x, where: str) -> float:
+    _require(_number(x, where) > 0, where, "positive", x)
+    return float(x)
+
+
+def _integer(x, where: str) -> int:
+    ok = isinstance(x, int) and not isinstance(x, bool) and x >= 1
+    _require(ok, where, "an integer >= 1", x)
+    return x
+
+
+def _flag(x, where: str) -> bool:
+    _require(isinstance(x, bool), where, "true or false", x)
+    return x
+
+
+def _numbers(xs, where: str, item=_number) -> tuple[float, ...]:
+    _require(isinstance(xs, list), where, "a list of numbers", xs)
+    return tuple(item(x, f"{where}[{i}]") for i, x in enumerate(xs))
+
+
+def _ray(x, where: str) -> tuple[float, float]:
+    ray = _numbers(x, where)
+    ok = len(ray) == 2 and min(ray) >= 0 and max(ray) > 0
+    _require(ok, where, "two non-negative numbers, not both zero", x)
+    return ray
+
+
+# Constructor and field parsers of each tagged potential record; every field
+# is required, and the constructor checks the values against each other.
+POTENTIALS = {
+    "constant": (Constant, {"sigma": _number}),
+    "step": (Step, {"sigma": _number, "L": _number}),
+    "piecewise": (PiecewiseConstant, {"breaks": _numbers, "values": _numbers}),
+    "tabulated": (Tabulated, {"samples": _numbers, "h_s": _number}),
+}
+
+
+def _potential(spec) -> BoundaryPotential:
+    """Build a potential from its tagged config record."""
+    ok = isinstance(spec, dict) and "kind" in spec
+    _require(ok, "potential", "a mapping with a 'kind' tag", spec)
+    kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in POTENTIALS:
+        raise ConfigError(f"unknown potential kind {kind!r}")
+    cls, fields = POTENTIALS[kind]
+    _check_keys(spec, {"kind", *fields}, "potential", required=set(fields))
+    args = [parse(spec[key], f"potential.{key}") for key, parse in fields.items()]
     try:
-        raw = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        cfg = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    validate_config(cfg)
-    return cfg
+        return cls(*args)
+    except ValueError as exc:
+        raise ConfigError(f"bad potential spec: {exc}") from exc
 
 
-def validate_config(cfg: dict) -> None:
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a mapping")
-    _check_keys(
-        cfg,
-        {
-            "potential",
-            "grid",
-            "outer_bc",
-            "solver",
-            "tasks",
-            "output_dir",
-            "certify",
-            "roots1d",
-            "decay",
-            "sweep",
-        },
-        "config",
-    )
-    for key in ("potential", "grid", "tasks"):
-        if key not in cfg:
-            raise ConfigError(f"config missing required key {key!r}")
-    potential_from_dict(cfg["potential"])
-    grid = cfg["grid"]
-    _check_keys(grid, {"R", "h"}, "grid")
-    if "R" not in grid or "h" not in grid:
-        raise ConfigError("grid needs both R and h")
-    try:
-        hs = _h_list(grid)
-        dims = [Grid(float(grid["R"]), h).intervals ** 2 for h in hs]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad grid: {exc}") from exc
+def parse_config(raw, command: str = "run") -> Config:
+    """Check every key of a raw config and fill in its defaults.
+
+    A subcommand other than ``run`` replaces the config's task list, and
+    ``config_sha256`` hashes the config with that replacement.
+    """
+    sections = {"solver", "certify", "roots1d", "decay", "sweep"}
+    root = {"potential", "grid", "outer_bc", "tasks", "output_dir", *sections}
+    _check_keys(raw, root, "config", required={"potential", "grid", "tasks"})
+    potential = _potential(raw["potential"])
+
+    grid = _check_keys(raw["grid"], {"R", "h"}, "grid", required={"R", "h"})
+    R = _number(grid["R"], "grid.R")
+    h = grid["h"]
+    hs = _numbers(h, "grid.h") if isinstance(h, list) else (_number(h, "grid.h"),)
     if not hs:
         raise ConfigError("grid h-list is empty")
-    if len(hs) >= 2:
-        for h1, h2 in zip(hs, hs[1:]):
-            if abs(h1 / h2 - 2.0) > 1e-9:
-                raise ConfigError("h-list entries must be descending in ratio 2")
-    bc = cfg.get("outer_bc", "dirichlet")
-    if bc not in ("dirichlet", "neumann", "both"):
-        raise ConfigError(f"outer_bc must be dirichlet, neumann or both, got {bc!r}")
-    solver = cfg.get("solver", {})
-    _check_keys(solver, {"k", "tol"}, "solver")
     try:
-        k, tol = float(solver.get("k", 1)), float(solver.get("tol", 1e-8))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad solver settings: {exc}") from exc
-    if not (k.is_integer() and 1 <= k < min(dims) - 1 and tol > 0):
-        raise ConfigError(
-            f"solver needs an integer 1 <= k < {min(dims) - 1} and tol > 0"
-        )
-    tasks = cfg["tasks"]
-    if not isinstance(tasks, list) or not tasks:
-        raise ConfigError("tasks must be a non-empty list")
-    for t in tasks:
-        if t not in TASKS:
-            raise ConfigError(f"unknown task {t!r}")
-    _check_keys(cfg.get("certify", {}), {"n_max"}, "certify")
-    n_max = cfg.get("certify", {}).get("n_max", 40)
-    if not (_is_number(n_max) and isinstance(n_max, int) and n_max >= 1):
-        raise ConfigError(f"certify.n_max must be an integer >= 1, got {n_max!r}")
-    _check_keys(cfg.get("roots1d", {}), {"k_max"}, "roots1d")
-    k_max = cfg.get("roots1d", {}).get("k_max", 10.0)
-    if not (_is_number(k_max) and 0 < k_max < math.inf):
-        raise ConfigError(f"roots1d.k_max must be a positive number, got {k_max!r}")
-    _check_keys(
-        cfg.get("decay", {}),
-        {"ray", "r_min", "r_max", "with_prefactor"},
-        "decay",
+        dim = min(Grid(R, h).intervals for h in hs) ** 2
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad grid: {exc}") from exc
+    if any(abs(h1 / h2 - 2.0) > 1e-9 for h1, h2 in zip(hs, hs[1:])):
+        raise ConfigError("h-list entries must be descending in ratio 2")
+    bc = raw.get("outer_bc", "dirichlet")
+    ok = bc in ("dirichlet", "neumann", "both")
+    _require(ok, "outer_bc", "one of dirichlet, neumann, both", bc)
+
+    tasks = raw["tasks"]
+    ok = isinstance(tasks, list) and tasks and all(t in TASKS for t in tasks)
+    _require(ok, "tasks", f"a non-empty list of {', '.join(TASKS)}", tasks)
+    if command != "run":
+        tasks = [command]
+        raw = {**raw, "tasks": tasks}
+
+    solver = _check_keys(raw.get("solver", {}), {"k", "tol"}, "solver")
+    k = _integer(solver.get("k", 1), "solver.k")
+    _require(k < dim - 1, "solver.k", f"below {dim - 1} (coarsest dimension - 1)", k)
+    certify = _check_keys(raw.get("certify", {}), {"n_max"}, "certify")
+    roots1d = _check_keys(raw.get("roots1d", {}), {"k_max"}, "roots1d")
+    decay_keys = {"ray", "r_min", "r_max", "with_prefactor"}
+    decay = _check_keys(raw.get("decay", {}), decay_keys, "decay")
+    # the fit window defaults to 2 past the support up to 3 short of R
+    window = {"r_min": potential.support_bound() + 2.0, "r_max": R - 3.0}
+    for key in window:
+        if key in decay:
+            window[key] = _number(decay[key], f"decay.{key}")
+    sweep = _check_keys(raw.get("sweep", {}), {"sigma", "L", "solve"}, "sweep")
+    sweep_sigma = _numbers(sweep.get("sigma", []), "sweep.sigma")
+    sweep_L = _numbers(sweep.get("L", []), "sweep.L", item=_positive)
+    sweep_solve = _flag(sweep.get("solve", False), "sweep.solve")
+    if "sweep" in tasks:
+        if "sweep" not in raw:
+            raise ConfigError("sweep task requested but no sweep section given")
+        points = len(sweep_sigma) * len(sweep_L)
+        budget = SWEEP_BUDGET_SOLVE if sweep_solve else SWEEP_BUDGET_BOUNDS
+        if points > budget:
+            raise ConfigError(f"sweep has {points} points, budget is {budget}")
+    output_dir = raw.get("output_dir", "out")
+    _require(isinstance(output_dir, str), "output_dir", "a path string", output_dir)
+
+    return Config(
+        potential=potential,
+        R=R,
+        hs=hs,
+        bcs=(OuterBC.NEUMANN, OuterBC.DIRICHLET) if bc == "both" else (OuterBC(bc),),
+        k=k,
+        tol=_positive(solver.get("tol", 1e-8), "solver.tol"),
+        tasks=tuple(tasks),
+        n_max=_integer(certify.get("n_max", 40), "certify.n_max"),
+        k_max=_positive(roots1d.get("k_max", 10.0), "roots1d.k_max"),
+        ray=_ray(decay.get("ray", [1.0, 1.0]), "decay.ray"),
+        r_min=window["r_min"],
+        r_max=window["r_max"],
+        with_prefactor=_flag(decay.get("with_prefactor", True), "decay.with_prefactor"),
+        sweep_sigma=sweep_sigma,
+        sweep_L=sweep_L,
+        sweep_solve=sweep_solve,
+        output_dir=output_dir,
+        config_sha256=hashlib.sha256(json.dumps(raw, sort_keys=True).encode()).hexdigest(),
     )
-    for key in ("r_min", "r_max"):
-        r = cfg.get("decay", {}).get(key)
-        if r is not None and not (_is_number(r) and math.isfinite(r)):
-            raise ConfigError(f"decay.{key} must be a number, got {r!r}")
-    _check_keys(cfg.get("sweep", {}), {"sigma", "L", "solve"}, "sweep")
-    _sweep_axes(cfg.get("sweep", {}))
-    if "sweep" in cfg["tasks"] and "sweep" not in cfg:
-        raise ConfigError("sweep task requested but no sweep section given")
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _h_list(grid_cfg: dict) -> list[float]:
-    h = grid_cfg["h"]
-    if isinstance(h, (int, float)):
-        return [float(h)]
-    return [float(x) for x in h]
-
-
-def _sweep_axes(scfg: dict) -> tuple[list[float], list[float]]:
-    """The sweep's sigma and L values; a value a Step rejects is a config error."""
+def load_config(path, command: str = "run") -> Config:
     try:
-        sigmas = [float(s) for s in scfg.get("sigma", [])]
-        lengths = [Step(1.0, float(L)).L for L in scfg.get("L", [])]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad sweep values: {exc}") from exc
-    return sigmas, lengths
-
-
-def _bcs(cfg: dict) -> list[OuterBC]:
-    bc = cfg.get("outer_bc", "dirichlet")
-    if bc == "both":
-        return [OuterBC.NEUMANN, OuterBC.DIRICHLET]
-    return [OuterBC(bc)]
+        raw = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    return parse_config(raw, command)
 
 
 def write_json(path: Path, obj) -> None:
@@ -197,17 +265,16 @@ def write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
 
 
 class Runner:
-    def __init__(self, cfg: dict, out_dir, workers: int = 1):
+    def __init__(self, cfg: Config, out_dir, workers: int = 1):
         self.cfg = cfg
         self.out = Path(out_dir)
         self.workers = workers
-        self.potential = potential_from_dict(cfg["potential"])
         self.outputs: list[str] = []
         self._solve_cache: dict = {}
 
     def run(self) -> None:
         self.out.mkdir(parents=True, exist_ok=True)
-        for task in self.cfg["tasks"]:
+        for task in self.cfg.tasks:
             getattr(self, f"task_{task}")()
         self._write_manifest()
 
@@ -220,9 +287,7 @@ class Runner:
         for name in sorted(self.outputs):
             hashes[name] = hashlib.sha256((self.out / name).read_bytes()).hexdigest()
         manifest = {
-            "config_sha256": hashlib.sha256(
-                json.dumps(self.cfg, sort_keys=True).encode()
-            ).hexdigest(),
+            "config_sha256": self.cfg.config_sha256,
             "version": __version__,
             "outputs": hashes,
         }
@@ -231,7 +296,7 @@ class Runner:
     # ------------------------------------------------------------------ tasks
 
     def task_reference(self) -> None:
-        p = self.potential
+        p = self.cfg.potential
         if not isinstance(p, Constant) or p.sigma <= 0:
             raise InapplicableError(
                 "reference task needs a constant positive potential"
@@ -247,9 +312,7 @@ class Runner:
         )
 
     def task_bounds(self) -> None:
-        report = full_report(
-            self.potential, self.cfg.get("certify", {}).get("n_max", 40)
-        )
+        report = full_report(self.cfg.potential, self.cfg.n_max)
         out = {
             "crude_lower": report.crude_lower,
             "sandwich_lo": report.sandwich_lo,
@@ -267,10 +330,9 @@ class Runner:
         write_json(self._record("bounds.json"), out)
 
     def task_certify(self) -> None:
-        n_max = self.cfg.get("certify", {}).get("n_max", 40)
-        cert = bound_state_certificate(self.potential, n_max)
+        cert = bound_state_certificate(self.cfg.potential, self.cfg.n_max)
         if cert is None:
-            out = {"found": False, "n_max": n_max}
+            out = {"found": False, "n_max": self.cfg.n_max}
         else:
             n, q = cert
             out = {
@@ -282,7 +344,7 @@ class Runner:
         write_json(self._record("certify.json"), out)
 
     def task_roots1d(self) -> None:
-        p = self.potential
+        p = self.cfg.potential
         L = p.support_bound()
         sigma_hat = p.ess_sup()
         if not math.isfinite(L) or sigma_hat == 0:
@@ -291,8 +353,7 @@ class Runner:
             raise InapplicableError(
                 "roots1d only covers the regime sigma_hat <= 2/L"
             )
-        k_max = self.cfg.get("roots1d", {}).get("k_max", 10.0)
-        spec = interval_spectrum(sigma_hat, L, k_max)
+        spec = interval_spectrum(sigma_hat, L, self.cfg.k_max)
         rows = []
         rows.append(
             [
@@ -322,17 +383,12 @@ class Runner:
     def _solve_one(self, h: float, bc: OuterBC):
         key = (h, bc)
         if key not in self._solve_cache:
-            grid = Grid(float(self.cfg["grid"]["R"]), h)
-            F = assemble(self.potential, grid, bc)
-            solver = self.cfg.get("solver", {})
-            k = int(solver.get("k", 1))
-            tol = float(solver.get("tol", 1e-8))
-            self._solve_cache[key] = lowest_eigenpairs(F, k, tol)
+            F = assemble(self.cfg.potential, Grid(self.cfg.R, h), bc)
+            self._solve_cache[key] = lowest_eigenpairs(F, self.cfg.k, self.cfg.tol)
         return self._solve_cache[key]
 
     def task_solve(self) -> None:
-        hs = _h_list(self.cfg["grid"])
-        bcs = _bcs(self.cfg)
+        hs, bcs = self.cfg.hs, self.cfg.bcs
         results: dict = {}
         for bc in bcs:
             per_h = {}
@@ -374,31 +430,21 @@ class Runner:
         write_json(self._record("solve.json"), out)
 
     def task_decay(self) -> None:
-        p = self.potential
-        support = p.support_bound()
-        if not math.isfinite(support):
+        cfg = self.cfg
+        if not math.isfinite(cfg.potential.support_bound()):
             raise InapplicableError(
                 "decay analysis requires a compactly supported potential"
             )
-        hs = _h_list(self.cfg["grid"])
-        bcs = _bcs(self.cfg)
-        bc = OuterBC.DIRICHLET if OuterBC.DIRICHLET in bcs else bcs[0]
-        h = min(hs)
-        res = self._solve_one(h, bc)
+        bc = OuterBC.DIRICHLET if OuterBC.DIRICHLET in cfg.bcs else cfg.bcs[0]
+        res = self._solve_one(min(cfg.hs), bc)
         E = float(res.eigenvalues[0])
         if E >= 0:
             raise InapplicableError("no negative ground energy; nothing decays")
         v = res.nodal(0)
-        R = float(self.cfg["grid"]["R"])
-        dcfg = self.cfg.get("decay", {})
-        ray = dcfg.get("ray", [1.0, 1.0])
-        r_min = dcfg.get("r_min")
-        r_max = dcfg.get("r_max")
-        r_min = float(r_min) if r_min is not None else support + 2.0
-        r_max = float(r_max) if r_max is not None else R - 3.0
-        with_prefactor = bool(dcfg.get("with_prefactor", True))
         try:
-            fit = decay_fit(res.form, v, E, ray, r_min, r_max, with_prefactor)
+            fit = decay_fit(
+                res.form, v, E, cfg.ray, cfg.r_min, cfg.r_max, cfg.with_prefactor
+            )
         except ValueError as exc:
             raise ConfigError(f"decay window rejected: {exc}") from exc
 
@@ -427,27 +473,14 @@ class Runner:
         )
 
     def task_sweep(self) -> None:
-        scfg = self.cfg["sweep"]
-        sigmas, lengths = _sweep_axes(scfg)
-        do_solve = bool(scfg.get("solve", False))
-        points = [(s, L) for s in sigmas for L in lengths]
-        budget = SWEEP_BUDGET_SOLVE if do_solve else SWEEP_BUDGET_BOUNDS
-        if len(points) > budget:
-            raise ConfigError(
-                f"sweep has {len(points)} points, budget is {budget}"
-            )
-        grid_cfg = self.cfg["grid"]
-        R = float(grid_cfg["R"])
-        h = min(_h_list(grid_cfg))
-        solver = self.cfg.get("solver", {})
-        k = int(solver.get("k", 1))
-        tol = float(solver.get("tol", 1e-8))
-        args = [(s, L, do_solve, R, h, k, tol) for s, L in points]
-        if self.workers > 1 and len(args) > 1:
+        cfg = self.cfg
+        points = [(s, L) for s in cfg.sweep_sigma for L in cfg.sweep_L]
+        sweep_point = partial(_sweep_point, cfg)
+        if self.workers > 1 and len(points) > 1:
             with ProcessPoolExecutor(max_workers=self.workers) as pool:
-                rows = list(pool.map(_sweep_point, args))
+                rows = list(pool.map(sweep_point, points))
         else:
-            rows = [_sweep_point(a) for a in args]
+            rows = [sweep_point(point) for point in points]
         write_csv(
             self._record("sweep.csv"),
             ["sigma", "L", "E_lo", "E_hi", "count_bound", "E_computed", "negative_count"],
@@ -455,8 +488,8 @@ class Runner:
         )
 
 
-def _sweep_point(arg) -> list[str]:
-    sigma, L, do_solve, R, h, k, tol = arg
+def _sweep_point(cfg: Config, point: tuple[float, float]) -> list[str]:
+    sigma, L = point
     p = Step(sigma, L)
     lo, hi = ground_energy_sandwich(p)
     count = negative_count_bound(p)
@@ -467,9 +500,9 @@ def _sweep_point(arg) -> list[str]:
         _fmt(hi),
         "" if count is None else str(count),
     ]
-    if do_solve:
-        F = assemble(p, Grid(R, h), OuterBC.DIRICHLET)
-        res = lowest_eigenpairs(F, k, tol)
+    if cfg.sweep_solve:
+        F = assemble(p, Grid(cfg.R, min(cfg.hs)), OuterBC.DIRICHLET)
+        res = lowest_eigenpairs(F, cfg.k, cfg.tol)
         row.append(_fmt(float(res.eigenvalues[0])))
         row.append(str(count_below(F, 0.0)))
     else:
@@ -494,13 +527,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.command != "run":
-            cfg = dict(cfg)
-            cfg["tasks"] = [args.command]
-            validate_config(cfg)
-        out_dir = args.out or cfg.get("output_dir", "out")
-        Runner(cfg, out_dir, workers=args.workers).run()
+        cfg = load_config(args.config, args.command)
+        Runner(cfg, args.out or cfg.output_dir, workers=args.workers).run()
     except RobinSpectraError as exc:
         code, prefix = next(
             (code, prefix) for types, code, prefix in EXIT_CODES if isinstance(exc, types)

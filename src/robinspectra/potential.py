@@ -197,38 +197,3 @@ class Tabulated(_CompactlySupported):
             for k, s in enumerate(self.samples)
         ]
 
-
-def potential_from_dict(spec: dict) -> BoundaryPotential:
-    """Build a potential from its tagged config record."""
-    from .errors import ConfigError
-
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("potential spec must be a mapping with a 'kind' tag")
-    kind = spec["kind"]
-    try:
-        if kind == "constant":
-            _require_keys(spec, {"kind", "sigma"})
-            return Constant(float(spec["sigma"]))
-        if kind == "step":
-            _require_keys(spec, {"kind", "sigma", "L"})
-            return Step(float(spec["sigma"]), float(spec["L"]))
-        if kind == "piecewise":
-            _require_keys(spec, {"kind", "breaks", "values"})
-            return PiecewiseConstant(tuple(spec["breaks"]), tuple(spec["values"]))
-        if kind == "tabulated":
-            _require_keys(spec, {"kind", "samples", "h_s"})
-            return Tabulated(tuple(spec["samples"]), float(spec["h_s"]))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad potential spec: {exc}") from exc
-    raise ConfigError(f"unknown potential kind {kind!r}")
-
-
-def _require_keys(spec: dict, allowed: set) -> None:
-    from .errors import ConfigError
-
-    unknown = set(spec) - allowed
-    if unknown:
-        raise ConfigError(f"unknown potential keys: {sorted(unknown)}")
-    missing = allowed - set(spec)
-    if missing:
-        raise ConfigError(f"missing potential keys: {sorted(missing)}")

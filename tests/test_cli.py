@@ -1,10 +1,12 @@
+import hashlib
 import json
 import math
 
 import pytest
 
 from robinspectra import cli
-from robinspectra.cli import main, validate_config
+from robinspectra.cli import main, parse_config
+from robinspectra.discretize import OuterBC
 from robinspectra.errors import (
     ConfigError,
     ConvergenceError,
@@ -14,6 +16,7 @@ from robinspectra.errors import (
     NotIntegrableError,
     UnderflowWindowError,
 )
+from robinspectra.potential import Constant, PiecewiseConstant, Step, Tabulated
 
 pytestmark = pytest.mark.filterwarnings("ignore:truncation radius")
 
@@ -37,61 +40,109 @@ def write_cfg(tmp_path, cfg, name="exp.cfg"):
 
 
 def test_validate_config_accepts_base():
-    validate_config(base_config())
+    cfg = parse_config(base_config())
+    assert cfg.potential == Step(1.0, 1.0)
+    assert (cfg.R, cfg.hs, cfg.tasks) == (6.0, (0.2,), ("bounds",))
+    assert cfg.bcs == (OuterBC.DIRICHLET,)
+    # the defaults of every optional key
+    assert (cfg.k, cfg.tol, cfg.n_max, cfg.k_max) == (2, 1e-8, 40, 10.0)
+    assert (cfg.ray, cfg.r_min, cfg.r_max) == ((1.0, 1.0), 3.0, 3.0)
+    assert cfg.with_prefactor is True and cfg.sweep_solve is False
+    assert (cfg.sweep_sigma, cfg.sweep_L, cfg.output_dir) == ((), (), "out")
 
 
-@pytest.mark.parametrize(
-    "mutate",
-    [
-        lambda c: c.update(extra=1),
-        lambda c: c.pop("potential"),
-        lambda c: c["potential"].update(typo=2),
-        lambda c: c["grid"].update(spacing=0.1),
-        lambda c: c.update(outer_bc="robin"),
-        lambda c: c.update(tasks=[]),
-        lambda c: c.update(tasks=["frobnicate"]),
-        lambda c: c["solver"].update(maxiter=10),
-        lambda c: c["grid"].update(h=[0.2, 0.15]),
-        lambda c: c.update(tasks=["sweep"]),  # sweep without a sweep section
-        lambda c: c["grid"].update(R=1, h=0.3),  # R/h not an integer
-        lambda c: c["grid"].update(R=-6.0),
-        lambda c: c["grid"].update(h=0),
-        lambda c: c["grid"].update(h="x"),
-        lambda c: c["grid"].update(R=None),
-        lambda c: c["grid"].update(h=[]),
-        lambda c: c["solver"].update(k=0),
-        lambda c: c["solver"].update(k=1.5),
-        lambda c: c["solver"].update(k=900),  # not below the dimension - 1
-        lambda c: c["solver"].update(k="two"),
-        lambda c: c["solver"].update(tol=0),
-        lambda c: c["solver"].update(tol=-1e-8),
-        lambda c: c.update(sweep={"sigma": [1, "x"], "L": [1.0]}),
-        lambda c: c.update(sweep={"sigma": [1.0], "L": [0.0]}),
-        lambda c: c.update(sweep={"sigma": 1.0, "L": [1.0]}),
-        lambda c: c.update(certify={"n_max": 0}),
-        lambda c: c.update(certify={"n_max": 2.5}),
-        lambda c: c.update(certify={"n_max": "ten"}),
-        lambda c: c.update(certify={"n_max": True}),
-        lambda c: c.update(roots1d={"k_max": 0}),
-        lambda c: c.update(roots1d={"k_max": -3.0}),
-        lambda c: c.update(roots1d={"k_max": "ten"}),
-        lambda c: c.update(roots1d={"k_max": math.inf}),
-        lambda c: c.update(decay={"r_min": "x"}),
-        lambda c: c.update(decay={"r_max": [4.0]}),
-        lambda c: c.update(decay={"r_min": math.nan}),
-        lambda c: c.update(certify=5),
-        lambda c: c.update(solver=3),
-    ],
-)
+def test_parse_config_potential_kinds():
+    def parsed(spec):
+        return parse_config(base_config(potential=spec)).potential
+
+    assert parsed({"kind": "constant", "sigma": 0.5}) == Constant(0.5)
+    assert parsed({"kind": "step", "sigma": 1.0, "L": 1.0}) == Step(1.0, 1.0)
+    q = parsed({"kind": "piecewise", "breaks": [1, 2], "values": [2, -1]})
+    assert q == PiecewiseConstant((1.0, 2.0), (2.0, -1.0))
+    assert q.integral() == pytest.approx(1.0)
+    t = parsed({"kind": "tabulated", "samples": [1, 2], "h_s": 0.5})
+    assert t == Tabulated((1.0, 2.0), 0.5)
+
+
+REJECTIONS = [
+    lambda c: c.update(extra=1),
+    lambda c: c.pop("potential"),
+    lambda c: c["potential"].update(typo=2),
+    lambda c: c["grid"].update(spacing=0.1),
+    lambda c: c.update(outer_bc="robin"),
+    lambda c: c.update(tasks=[]),
+    lambda c: c.update(tasks=["frobnicate"]),
+    lambda c: c["solver"].update(maxiter=10),
+    lambda c: c["grid"].update(h=[0.2, 0.15]),
+    lambda c: c.update(tasks=["sweep"]),  # sweep without a sweep section
+    lambda c: c["grid"].update(R=1, h=0.3),  # R/h not an integer
+    lambda c: c["grid"].update(R=-6.0),
+    lambda c: c["grid"].update(h=0),
+    lambda c: c["grid"].update(h="x"),
+    lambda c: c["grid"].update(R=None),
+    lambda c: c["grid"].update(h=[]),
+    lambda c: c["solver"].update(k=0),
+    lambda c: c["solver"].update(k=1.5),
+    lambda c: c["solver"].update(k=900),  # not below the dimension - 1
+    lambda c: c["solver"].update(k="two"),
+    lambda c: c["solver"].update(tol=0),
+    lambda c: c["solver"].update(tol=-1e-8),
+    lambda c: c.update(sweep={"sigma": [1, "x"], "L": [1.0]}),
+    lambda c: c.update(sweep={"sigma": [1.0], "L": [0.0]}),
+    lambda c: c.update(sweep={"sigma": 1.0, "L": [1.0]}),
+    lambda c: c.update(certify={"n_max": 0}),
+    lambda c: c.update(certify={"n_max": 2.5}),
+    lambda c: c.update(certify={"n_max": "ten"}),
+    lambda c: c.update(certify={"n_max": True}),
+    lambda c: c.update(roots1d={"k_max": 0}),
+    lambda c: c.update(roots1d={"k_max": -3.0}),
+    lambda c: c.update(roots1d={"k_max": "ten"}),
+    lambda c: c.update(roots1d={"k_max": math.inf}),
+    lambda c: c.update(decay={"r_min": "x"}),
+    lambda c: c.update(decay={"r_max": [4.0]}),
+    lambda c: c.update(decay={"r_min": math.nan}),
+    lambda c: c.update(certify=5),
+    lambda c: c.update(solver=3),
+    # non-finite numbers
+    lambda c: c.update(potential={"kind": "constant", "sigma": math.nan}),
+    lambda c: c["potential"].update(L=math.inf),
+    lambda c: c.update(potential={"kind": "piecewise", "breaks": [1.0], "values": [math.nan]}),
+    lambda c: c["solver"].update(tol=math.inf),
+    lambda c: c["solver"].update(tol=10 ** 400),  # an integer no float holds
+    lambda c: c.update(sweep={"sigma": [math.nan], "L": [1.0]}),
+    lambda c: c.update(sweep={"sigma": [1.0], "L": [math.nan]}),
+    # values of the wrong type
+    lambda c: c.update(decay={"ray": [1]}),
+    lambda c: c.update(decay={"ray": [-1.0, 1.0]}),
+    lambda c: c.update(decay={"with_prefactor": "false"}),
+    lambda c: c.update(sweep={"sigma": [1.0], "L": [1.0], "solve": "no"}),
+    lambda c: c.update(output_dir=5),
+    lambda c: c["solver"].update(k=True),
+    lambda c: c["grid"].update(h=1e-320),  # R/h overflows a float
+]
+
+
+@pytest.mark.parametrize("mutate", REJECTIONS)
 def test_validate_config_rejections(mutate):
     cfg = base_config()
     mutate(cfg)
     with pytest.raises(ConfigError):
-        validate_config(cfg)
+        parse_config(cfg)
+
+
+def test_main_rejections_exit_code(tmp_path, capsys):
+    for i, mutate in enumerate(REJECTIONS):
+        cfg = base_config()
+        mutate(cfg)
+        # allow_nan keeps NaN and Infinity in the file, as a config may hold them
+        path = tmp_path / f"bad{i}.cfg"
+        path.write_text(json.dumps(cfg, allow_nan=True))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2, i
+        assert capsys.readouterr().err.startswith("config error: "), i
 
 
 def test_h_list_ratio_two_accepted():
-    validate_config(base_config(grid={"R": 6.0, "h": [0.4, 0.2, 0.1]}))
+    parse_config(base_config(grid={"R": 6.0, "h": [0.4, 0.2, 0.1]}))
 
 
 def test_main_config_error_exit_code(tmp_path):
@@ -118,6 +169,8 @@ def test_main_missing_config_exit_code(tmp_path):
 def test_main_invalid_json_exit_code(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("{not json")
+    assert main(["run", "--config", str(path)]) == 2
+    path.write_bytes(b'{"grid": "\xff"}')  # not UTF-8
     assert main(["run", "--config", str(path)]) == 2
 
 
@@ -194,6 +247,15 @@ def test_subcommand_overrides_tasks(tmp_path):
     assert main(["bounds", "--config", str(path), "--out", str(out)]) == 0
     assert (out / "bounds.json").exists()
     assert not (out / "solve.json").exists()
+
+
+def test_subcommand_manifest_hashes_overridden_config(tmp_path):
+    cfg = base_config(tasks=["solve", "bounds"])
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    overridden = json.dumps({**cfg, "tasks": ["bounds"]}, sort_keys=True)
+    assert manifest["config_sha256"] == hashlib.sha256(overridden.encode()).hexdigest()
 
 
 def test_run_certify_and_roots1d(tmp_path):

@@ -11,7 +11,6 @@ from robinspectra.potential import (
     PiecewiseConstant,
     Step,
     Tabulated,
-    potential_from_dict,
 )
 
 
@@ -118,9 +117,3 @@ def test_weighted_integral_small_a_limit(values):
     lim = p.weighted_integral(1e-6)
     assert abs(lim - p.integral()) < 1e-4 * (1 + abs(p.integral()))
 
-
-def test_potential_from_dict():
-    p = potential_from_dict({"kind": "step", "sigma": 1.0, "L": 1.0})
-    assert p == Step(1.0, 1.0)
-    q = potential_from_dict({"kind": "piecewise", "breaks": [1, 2], "values": [2, -1]})
-    assert q.integral() == pytest.approx(1.0)
