@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -33,9 +33,7 @@ class DecayFit:
     abs_phi: tuple[float, ...] = field(repr=False)
 
 
-def _default_radii(
-    ray: np.ndarray, h: float, r_min: float, r_max: float, n_radii: int
-) -> np.ndarray:
+def _default_radii(ray: np.ndarray, h: float, r_min: float, r_max: float) -> np.ndarray:
     """Node-aligned radii for axis/diagonal rays, else uniform.
 
     Node alignment keeps interpolation exact on the sampled points, which
@@ -47,7 +45,7 @@ def _default_radii(
     elif abs(abs(dx) - abs(dy)) < 1e-12:
         step = h * math.sqrt(2.0)
     else:
-        return np.linspace(r_min, r_max, n_radii)
+        return np.linspace(r_min, r_max, DEFAULT_N_RADII)
     k_lo = int(math.ceil(r_min / step - 1e-9))
     k_hi = int(math.floor(r_max / step + 1e-9))
     return step * np.arange(k_lo, k_hi + 1)
@@ -61,8 +59,6 @@ def decay_fit(
     r_min: float,
     r_max: float,
     with_prefactor: bool = True,
-    n_radii: int = DEFAULT_N_RADII,
-    radii: Optional[np.ndarray] = None,
 ) -> DecayFit:
     """Least-squares decay rate of nodal values v along a ray from the origin.
 
@@ -86,9 +82,7 @@ def decay_fit(
     if r_max <= r_min:
         raise ValueError("empty fit window")
 
-    if radii is None:
-        radii = _default_radii(ray, F.grid.h, r_min, r_max, n_radii)
-    radii = np.asarray(radii, dtype=np.float64)
+    radii = _default_radii(ray, F.grid.h, r_min, r_max)
     if len(radii) < 10:
         raise ValueError("need at least 10 sample radii in the window")
 
@@ -139,8 +133,6 @@ def _linfit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
 
 @dataclass(frozen=True)
 class ConvergenceStudy:
-    h_values: tuple[float, ...]
-    lambda_values: tuple[float, ...]
     extrapolated: float
     order: float
 
@@ -153,8 +145,7 @@ def richardson(study_points: Sequence[tuple[float, float]]) -> ConvergenceStudy:
     for (h1, _), (h2, _) in zip(pts, pts[1:]):
         if abs(h1 / h2 - 2.0) > 1e-9:
             raise ValueError("spacings must be in constant ratio 2")
-    hs = tuple(h for h, _ in pts)
-    lams = tuple(l for _, l in pts)
+    lams = [l for _, l in pts]
     d1 = lams[-3] - lams[-2]
     d2 = lams[-2] - lams[-1]
     if d1 == 0 or d2 == 0 or d1 * d2 < 0 or abs(d2) >= abs(d1):
@@ -163,9 +154,7 @@ def richardson(study_points: Sequence[tuple[float, float]]) -> ConvergenceStudy:
         )
     order = math.log2(d1 / d2)
     extrapolated = lams[-1] - d2 / (2 ** order - 1)
-    return ConvergenceStudy(
-        h_values=hs, lambda_values=lams, extrapolated=extrapolated, order=order
-    )
+    return ConvergenceStudy(extrapolated=extrapolated, order=order)
 
 
 def l2_distance(F: DiscreteForm, u: np.ndarray, v: np.ndarray) -> float:

@@ -107,6 +107,11 @@ def root_function(k: float, sigma_hat: float, L: float) -> float:
     )
 
 
+def root_scan_brackets(L: float, k_max: float) -> float:
+    """Brackets `interval_positive_roots` scans up to k_max, before rounding up."""
+    return k_max * 16 * L / math.pi
+
+
 def interval_positive_roots(sigma_hat: float, L: float, k_max: float) -> list[float]:
     """All positive roots k <= k_max of the interval level condition.
 
@@ -121,7 +126,7 @@ def interval_positive_roots(sigma_hat: float, L: float, k_max: float) -> list[fl
         return root_function(k, sigma_hat, L)
 
     step = math.pi / (2 * L) / 8
-    n_steps = int(math.ceil(k_max / step)) + 1
+    n_steps = math.ceil(root_scan_brackets(L, k_max)) + 1
     roots = []
     prev_k = step * 1e-6  # skip the trivial root at k = 0
     prev_g = g(prev_k)
@@ -150,14 +155,11 @@ def interval_positive_roots(sigma_hat: float, L: float, k_max: float) -> list[fl
 
 @dataclass(frozen=True)
 class Interval1DSpectrum:
-    """Spectrum of the interval operator with equal Robin ends."""
+    """Spectrum of the interval operator with equal Robin ends: the one
+    negative level -kappa**2 and the positive levels k**2."""
 
-    L: float
-    sigma_hat: float
     kappa: float
-    negative_eigenvalues: tuple[float, ...]
     positive_roots: tuple[float, ...]
-    eigenvalues: tuple[float, ...]
 
 
 def interval_spectrum(sigma_hat: float, L: float, k_max: float) -> Interval1DSpectrum:
@@ -172,13 +174,4 @@ def interval_spectrum(sigma_hat: float, L: float, k_max: float) -> Interval1DSpe
         )
     kappa = interval_ground_kappa(sigma_hat, L)
     roots = interval_positive_roots(sigma_hat, L, k_max)
-    negative = (-kappa ** 2,)
-    eigenvalues = tuple(sorted(list(negative) + [k ** 2 for k in roots]))
-    return Interval1DSpectrum(
-        L=L,
-        sigma_hat=sigma_hat,
-        kappa=kappa,
-        negative_eigenvalues=negative,
-        positive_roots=tuple(roots),
-        eigenvalues=eigenvalues,
-    )
+    return Interval1DSpectrum(kappa=kappa, positive_roots=tuple(roots))

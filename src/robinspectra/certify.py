@@ -18,13 +18,12 @@ from .errors import (
     NotAttractiveOnAverageError,
     RobinSpectraError,
 )
-from .potential import BoundaryPotential, Constant
+from .potential import BoundaryPotential
 
 
 class EssClass(Enum):
     NON_POSITIVE_TAIL = "NonPositiveTail"
     CONSTANT_POSITIVE = "ConstantPositive"
-    INCONCLUSIVE = "Inconclusive"
 
 
 @dataclass(frozen=True)
@@ -33,10 +32,9 @@ class BoundsReport:
     sandwich_lo: float
     sandwich_hi: float
     ess_class: EssClass
-    ess_bottom: Optional[float]
+    ess_bottom: float
     certificate: Optional[tuple[int, float]]
     count_bound: Optional[int]
-    count_bound_applicable: bool
 
 
 def crude_lower_bound(sigma_hat: float) -> float:
@@ -67,15 +65,17 @@ def ground_energy_sandwich(p: BoundaryPotential) -> tuple[float, float]:
     return (lo, max(lo, hi))
 
 
-def ess_spectrum_class(p: BoundaryPotential) -> tuple[EssClass, Optional[float]]:
-    """Classify the essential spectrum and report its bottom where known."""
-    if isinstance(p, Constant):
-        if p.sigma > 0:
-            return (EssClass.CONSTANT_POSITIVE, -p.sigma ** 2)
-        return (EssClass.NON_POSITIVE_TAIL, 0.0)
-    if math.isfinite(p.support_bound()):
-        return (EssClass.NON_POSITIVE_TAIL, 0.0)
-    return (EssClass.INCONCLUSIVE, None)
+def ess_spectrum_class(p: BoundaryPotential) -> tuple[EssClass, float]:
+    """Classify the essential spectrum by sigma's tail and give its bottom.
+
+    The tail is the value on an unbounded cell, else 0.  A positive tail
+    binds one particle to the boundary while the other escapes, so the
+    essential spectrum starts at -tail**2; otherwise it starts at 0.
+    """
+    tail = next((v for _, hi, v in p.cells() if math.isinf(hi)), 0.0)
+    if tail > 0:
+        return (EssClass.CONSTANT_POSITIVE, -tail ** 2)
+    return (EssClass.NON_POSITIVE_TAIL, 0.0)
 
 
 def kinetic_term(eps: float) -> float:
@@ -133,7 +133,7 @@ def negative_count_bound(p: BoundaryPotential) -> Optional[int]:
     return 1 + len(below)
 
 
-def full_report(p: BoundaryPotential, n_max: int = 40) -> BoundsReport:
+def full_report(p: BoundaryPotential, n_max: int) -> BoundsReport:
     sigma_hat = p.ess_sup()
     crude = crude_lower_bound(sigma_hat)
     lo, hi = ground_energy_sandwich(p)
@@ -157,5 +157,4 @@ def full_report(p: BoundaryPotential, n_max: int = 40) -> BoundsReport:
         ess_bottom=bottom,
         certificate=certificate,
         count_bound=count,
-        count_bound_applicable=count is not None,
     )

@@ -21,7 +21,13 @@ from functools import partial
 from pathlib import Path
 
 from . import __version__
-from .analytic1d import constant_reference, interval_spectrum, kappa_residual, root_function
+from .analytic1d import (
+    constant_reference,
+    interval_spectrum,
+    kappa_residual,
+    root_function,
+    root_scan_brackets,
+)
 from .analysis import decay_fit, richardson
 from .certify import (
     bound_state_certificate,
@@ -55,6 +61,7 @@ EXIT_CODES = (
 
 SWEEP_BUDGET_BOUNDS = 10_000
 SWEEP_BUDGET_SOLVE = 100
+ROOTS1D_BUDGET = 1_000_000  # root-scan brackets, about 3 us each
 
 
 @dataclass(frozen=True)
@@ -201,10 +208,19 @@ def parse_config(raw, command: str = "run") -> Config:
     _require(k < dim - 1, "solver.k", f"below {dim - 1} (coarsest dimension - 1)", k)
     certify = _check_keys(raw.get("certify", {}), {"n_max"}, "certify")
     roots1d = _check_keys(raw.get("roots1d", {}), {"k_max"}, "roots1d")
+    k_max = _positive(roots1d.get("k_max", 10.0), "roots1d.k_max")
+    L = potential.support_bound()
+    if "roots1d" in tasks and math.isfinite(L):
+        brackets = root_scan_brackets(L, k_max)
+        if brackets > ROOTS1D_BUDGET:
+            raise ConfigError(
+                f"roots1d.k_max {k_max!r} scans {brackets:.3g} brackets on L = {L!r}, "
+                f"budget is {ROOTS1D_BUDGET}"
+            )
     decay_keys = {"ray", "r_min", "r_max", "with_prefactor"}
     decay = _check_keys(raw.get("decay", {}), decay_keys, "decay")
     # the fit window defaults to 2 past the support up to 3 short of R
-    window = {"r_min": potential.support_bound() + 2.0, "r_max": R - 3.0}
+    window = {"r_min": L + 2.0, "r_max": R - 3.0}
     for key in window:
         if key in decay:
             window[key] = _number(decay[key], f"decay.{key}")
@@ -231,7 +247,7 @@ def parse_config(raw, command: str = "run") -> Config:
         tol=_positive(solver.get("tol", 1e-8), "solver.tol"),
         tasks=tuple(tasks),
         n_max=_integer(certify.get("n_max", 40), "certify.n_max"),
-        k_max=_positive(roots1d.get("k_max", 10.0), "roots1d.k_max"),
+        k_max=k_max,
         ray=_ray(decay.get("ray", [1.0, 1.0]), "decay.ray"),
         r_min=window["r_min"],
         r_max=window["r_max"],
@@ -273,7 +289,10 @@ class Runner:
         self._solve_cache: dict = {}
 
     def run(self) -> None:
-        self.out.mkdir(parents=True, exist_ok=True)
+        try:
+            self.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {self.out}: {exc}") from exc
         for task in self.cfg.tasks:
             getattr(self, f"task_{task}")()
         self._write_manifest()
@@ -318,10 +337,9 @@ class Runner:
             "sandwich_lo": report.sandwich_lo,
             "sandwich_hi": report.sandwich_hi,
             "ess_class": report.ess_class.value,
-            "count_bound_applicable": report.count_bound_applicable,
+            "ess_bottom": report.ess_bottom,
+            "count_bound_applicable": report.count_bound is not None,
         }
-        if report.ess_bottom is not None:
-            out["ess_bottom"] = report.ess_bottom
         if report.certificate is not None:
             out["certificate_n"] = report.certificate[0]
             out["certificate_q"] = report.certificate[1]

@@ -152,10 +152,7 @@ def lowest_eigenpairs(
                 OPinv=spla.LinearOperator(A.shape, matvec=opinv, dtype=float),
             )
         except spla.ArpackNoConvergence as exc:
-            raise ConvergenceError(
-                f"shift-invert iteration did not converge: {exc}",
-                residuals=None,
-            ) from exc
+            raise ConvergenceError(f"shift-invert iteration did not converge: {exc}") from exc
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
     else:
@@ -175,10 +172,7 @@ def lowest_eigenpairs(
     )
     conv = tuple(bool(r <= tol * (1 + abs(l))) for r, l in zip(residuals, vals))
     if not all(conv):
-        raise ConvergenceError(
-            f"residuals {residuals} exceed tol*(1+|lambda|) with tol={tol}",
-            residuals=residuals,
-        )
+        raise ConvergenceError(f"residuals {residuals} exceed tol*(1+|lambda|) with tol={tol}")
     return SpectralResult(
         eigenvalues=vals,
         eigenvectors=vecs,

@@ -29,10 +29,6 @@ class EssentialBottomNotZeroError(InapplicableError):
 class ConvergenceError(RobinSpectraError):
     """Eigensolver failed to reach the requested residual tolerance."""
 
-    def __init__(self, message, residuals=None):
-        super().__init__(message)
-        self.residuals = residuals
-
 
 class FactorizationError(RobinSpectraError):
     """A factorization broke down: the inertia count's pivots stay zero when

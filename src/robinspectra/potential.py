@@ -1,8 +1,10 @@
 """Boundary interaction strength sigma(y) on the half-line.
 
-All kinds are immutable. The piecewise-constant kinds expose an exact cell
-decomposition, so every integral functional below is either a closed form
-per cell or an adaptive quadrature over finitely many cells.
+Every kind is an immutable list of cells: left-closed, right-open intervals
+[lo, hi) on which sigma is constant, with sigma = 0 beyond the last cell.
+A constant is the one unbounded cell [0, inf).  `BoundaryPotential` writes
+each functional of sigma once over the cells, as a closed form per cell or
+an adaptive quadrature per cell; a kind only lists its cells.
 """
 from __future__ import annotations
 
@@ -17,95 +19,38 @@ STRETCHED_QUAD_ABSTOL = 1e-10
 
 
 class BoundaryPotential:
-    """Common interface for the boundary interaction strength."""
-
-    def eval(self, y: float) -> float:
-        raise NotImplementedError
-
-    def ess_sup(self) -> float:
-        raise NotImplementedError
-
-    def support_bound(self) -> float:
-        """Smallest grid-representable L with sigma = 0 beyond L (may be inf)."""
-        raise NotImplementedError
-
-    def integral(self) -> float:
-        raise NotImplementedError
-
-    def weighted_integral(self, a: float) -> float:
-        """Integral of sigma(y) * exp(-a*y) over the half-line, a > 0."""
-        raise NotImplementedError
-
-    def stretched_weighted_integral(self, eps: float) -> float:
-        """Integral of sigma(y) * exp(-y**eps) over the half-line, 0 < eps <= 1."""
-        raise NotImplementedError
-
-
-def _check_y(y: float) -> None:
-    if y < 0:
-        raise ValueError(f"boundary coordinate must be nonnegative, got {y}")
-
-
-@dataclass(frozen=True)
-class Constant(BoundaryPotential):
-    sigma: float
-
-    def eval(self, y):
-        _check_y(y)
-        return self.sigma
-
-    def ess_sup(self):
-        return abs(self.sigma)
-
-    def support_bound(self):
-        return 0.0 if self.sigma == 0 else math.inf
-
-    def integral(self):
-        if self.sigma == 0:
-            return 0.0
-        raise NotIntegrableError("constant nonzero potential has infinite support")
-
-    def weighted_integral(self, a):
-        if a <= 0:
-            raise ValueError("weight parameter must be positive")
-        return self.sigma / a
-
-    def stretched_weighted_integral(self, eps):
-        if not 0 < eps <= 1:
-            raise ValueError("stretch exponent must lie in (0, 1]")
-        if self.sigma == 0:
-            return 0.0
-        raise NotIntegrableError("constant nonzero potential has infinite support")
-
-
-class _CompactlySupported(BoundaryPotential):
-    """Piecewise-constant potential with finitely many cells and zero tail."""
+    """Piecewise-constant boundary strength given by its cells."""
 
     def cells(self) -> list[tuple[float, float, float]]:
         """Left-closed/right-open cells (lo, hi, value) covering the support."""
         raise NotImplementedError
 
-    def eval(self, y):
-        _check_y(y)
+    def eval(self, y: float) -> float:
+        if y < 0:
+            raise ValueError(f"boundary coordinate must be nonnegative, got {y}")
         for lo, hi, v in self.cells():
             if lo <= y < hi:
                 return v
         return 0.0
 
-    def ess_sup(self):
-        vals = [abs(v) for _, _, v in self.cells()]
-        return max(vals, default=0.0)
+    def ess_sup(self) -> float:
+        return max((abs(v) for _, _, v in self.cells()), default=0.0)
 
-    def support_bound(self):
+    def support_bound(self) -> float:
+        """Smallest grid-representable L with sigma = 0 beyond L (may be inf)."""
         for lo, hi, v in reversed(self.cells()):
             if v != 0:
                 return hi
         return 0.0
 
-    def integral(self):
-        return sum(v * (hi - lo) for lo, hi, v in self.cells())
+    def integral(self) -> float:
+        if math.isinf(self.support_bound()):
+            raise NotIntegrableError("potential has infinite support")
+        # zero cells are skipped: an unbounded zero cell would give 0 * inf
+        return sum((v * (hi - lo) for lo, hi, v in self.cells() if v != 0), 0.0)
 
-    def weighted_integral(self, a):
+    def weighted_integral(self, a: float) -> float:
+        """Integral of sigma(y) * exp(-a*y) over the half-line, a > 0."""
         if a <= 0:
             raise ValueError("weight parameter must be positive")
         return sum(
@@ -113,9 +58,12 @@ class _CompactlySupported(BoundaryPotential):
             for lo, hi, v in self.cells()
         )
 
-    def stretched_weighted_integral(self, eps):
+    def stretched_weighted_integral(self, eps: float) -> float:
+        """Integral of sigma(y) * exp(-y**eps) over the half-line, 0 < eps <= 1."""
         if not 0 < eps <= 1:
             raise ValueError("stretch exponent must lie in (0, 1]")
+        if math.isinf(self.support_bound()):
+            raise NotIntegrableError("potential has infinite support")
         total = 0.0
         for lo, hi, v in self.cells():
             if v == 0:
@@ -133,7 +81,15 @@ class _CompactlySupported(BoundaryPotential):
 
 
 @dataclass(frozen=True)
-class Step(_CompactlySupported):
+class Constant(BoundaryPotential):
+    sigma: float
+
+    def cells(self):
+        return [(0.0, math.inf, self.sigma)]
+
+
+@dataclass(frozen=True)
+class Step(BoundaryPotential):
     sigma: float
     L: float
 
@@ -146,7 +102,7 @@ class Step(_CompactlySupported):
 
 
 @dataclass(frozen=True)
-class PiecewiseConstant(_CompactlySupported):
+class PiecewiseConstant(BoundaryPotential):
     breakpoints: tuple[float, ...]
     values: tuple[float, ...]
 
@@ -173,7 +129,7 @@ class PiecewiseConstant(_CompactlySupported):
 
 
 @dataclass(frozen=True)
-class Tabulated(_CompactlySupported):
+class Tabulated(BoundaryPotential):
     """Samples on a uniform grid y_k = k * h_s, zero beyond the last sample.
 
     Sample k holds on the cell [k*h_s, (k+1)*h_s), both pointwise and in the

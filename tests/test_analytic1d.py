@@ -79,9 +79,8 @@ def test_root_count_matches_brute_scan():
 
 def test_interval_spectrum_structure():
     spec = interval_spectrum(1.0, 1.0, 10.0)
-    assert spec.negative_eigenvalues == (-spec.kappa**2,)
-    expect = sorted([-spec.kappa**2] + [k**2 for k in spec.positive_roots])
-    assert list(spec.eigenvalues) == expect
+    assert spec.kappa == interval_ground_kappa(1.0, 1.0)
+    assert spec.positive_roots == tuple(interval_positive_roots(1.0, 1.0, 10.0))
     with pytest.raises(ValueError):
         interval_spectrum(3.0, 1.0, 10.0)
 

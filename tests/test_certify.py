@@ -19,7 +19,13 @@ from robinspectra.errors import (
     NotAttractiveOnAverageError,
     RobinSpectraError,
 )
-from robinspectra.potential import BoundaryPotential, Constant, PiecewiseConstant, Step
+from robinspectra.potential import (
+    BoundaryPotential,
+    Constant,
+    PiecewiseConstant,
+    Step,
+    Tabulated,
+)
 
 
 def test_crude_lower_bound():
@@ -68,6 +74,9 @@ def test_ess_spectrum_class():
     assert ess_spectrum_class(Constant(1.0)) == (EssClass.CONSTANT_POSITIVE, -1.0)
     assert ess_spectrum_class(Constant(0.0)) == (EssClass.NON_POSITIVE_TAIL, 0.0)
     assert ess_spectrum_class(Constant(-0.5)) == (EssClass.NON_POSITIVE_TAIL, 0.0)
+    assert ess_spectrum_class(Tabulated([0.3, 1.2], 0.5)) == (EssClass.NON_POSITIVE_TAIL, 0.0)
+    trailing_negative = PiecewiseConstant((1, 2), (2.0, -0.5))
+    assert ess_spectrum_class(trailing_negative) == (EssClass.NON_POSITIVE_TAIL, 0.0)
 
 
 def test_kinetic_term_exact():
@@ -128,28 +137,26 @@ def test_negative_count_bound_monotone_in_L():
 
 
 def test_full_report_constant():
-    rep = full_report(Constant(1.0))
+    rep = full_report(Constant(1.0), 40)
     assert rep.crude_lower == -32
     assert (rep.sandwich_lo, rep.sandwich_hi) == (-2, -2)
     assert rep.ess_class is EssClass.CONSTANT_POSITIVE
     assert rep.certificate is None
     assert rep.count_bound is None
-    assert not rep.count_bound_applicable
 
 
 def test_full_report_step():
-    rep = full_report(Step(1, 1))
+    rep = full_report(Step(1, 1), 40)
     assert rep.crude_lower == -32
     assert rep.sandwich_hi == pytest.approx(-2 + 4 * math.exp(-2))
     assert rep.ess_class is EssClass.NON_POSITIVE_TAIL
     assert rep.certificate is not None
     assert rep.certificate[1] < 0
     assert rep.count_bound == 1
-    assert rep.count_bound_applicable
 
 
 def test_full_report_zero_potential():
-    rep = full_report(Step(0, 1))
+    rep = full_report(Step(0, 1), 40)
     assert rep.crude_lower == 0
     assert (rep.sandwich_lo, rep.sandwich_hi) == (0, 0)
     assert rep.ess_class is EssClass.NON_POSITIVE_TAIL

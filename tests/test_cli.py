@@ -49,6 +49,8 @@ def test_validate_config_accepts_base():
     assert (cfg.ray, cfg.r_min, cfg.r_max) == ((1.0, 1.0), 3.0, 3.0)
     assert cfg.with_prefactor is True and cfg.sweep_solve is False
     assert (cfg.sweep_sigma, cfg.sweep_L, cfg.output_dir) == ((), (), "out")
+    # the default k_max passes the root-scan budget
+    assert parse_config(base_config(tasks=["roots1d"])).k_max == 10.0
 
 
 def test_parse_config_potential_kinds():
@@ -119,6 +121,9 @@ REJECTIONS = [
     lambda c: c.update(output_dir=5),
     lambda c: c["solver"].update(k=True),
     lambda c: c["grid"].update(h=1e-320),  # R/h overflows a float
+    # a root scan over the bracket budget
+    lambda c: c.update(tasks=["roots1d"], roots1d={"k_max": 1e9}),
+    lambda c: c.update(tasks=["roots1d"], roots1d={"k_max": 1e308}),
 ]
 
 
@@ -172,6 +177,15 @@ def test_main_invalid_json_exit_code(tmp_path):
     assert main(["run", "--config", str(path)]) == 2
     path.write_bytes(b'{"grid": "\xff"}')  # not UTF-8
     assert main(["run", "--config", str(path)]) == 2
+
+
+def test_main_output_dir_not_creatable_exit_code(tmp_path, capsys):
+    path = write_cfg(tmp_path, base_config())
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    for out in (afile, afile / "sub"):
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot create output")
 
 
 def test_main_inapplicable_exit_code(tmp_path):

@@ -18,6 +18,7 @@ def test_eval_examples():
     assert Step(1, 1).eval(0.5) == 1
     assert Step(1, 1).eval(2) == 0
     assert Constant(0.7).eval(100) == 0.7
+    assert Constant(0.7).eval(1e300) == 0.7
 
 
 def test_eval_rejects_negative_y():
@@ -34,6 +35,7 @@ def test_ess_sup():
 def test_support_bound():
     assert Step(1, 2).support_bound() == 2
     assert Constant(1).support_bound() == math.inf
+    assert Constant(0).support_bound() == 0.0
     samples = [0.3] * 10 + [0.0] * 3
     assert Tabulated(samples, 0.1).support_bound() == pytest.approx(1.0)
 
@@ -52,7 +54,8 @@ def test_weighted_integral_closed_form():
     # cross-check against direct quadrature of the integrand
     ref, _ = quad(lambda y: math.exp(-2 * y), 0, 1)
     assert val == pytest.approx(ref, abs=1e-10)
-    assert Constant(1).weighted_integral(2) == pytest.approx(0.5)
+    for sigma, a in [(1, 2), (0.7, 3.1), (-0.3, 0.9), (0, 2)]:
+        assert Constant(sigma).weighted_integral(a) == sigma / a
     assert PiecewiseConstant((1, 2), (0, 0)).weighted_integral(3.7) == 0
 
 
@@ -69,6 +72,7 @@ def test_stretched_weighted_integral():
     assert Step(0, 1).stretched_weighted_integral(0.5) == 0
     with pytest.raises(NotIntegrableError):
         Constant(1).stretched_weighted_integral(0.5)
+    assert Constant(0).stretched_weighted_integral(0.5) == 0.0
 
 
 def test_tabulated_cell_eval():
