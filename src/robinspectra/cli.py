@@ -17,7 +17,7 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from . import __version__
@@ -528,6 +528,7 @@ def _sweep_point(cfg: Config, point: tuple[float, float]) -> list[str]:
     return row
 
 
+@cache  # built once per process, on the first call of main
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="robinspectra",

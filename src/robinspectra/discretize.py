@@ -126,7 +126,7 @@ def assemble(p: BoundaryPotential, grid: Grid, outer_bc: OuterBC) -> DiscreteFor
     T = sp.diags([t_off, t_diag, t_off], [-1, 0, 1])
 
     # Robin terms -2*sigma/h on the edges x = 0 and y = 0; the corner gets both.
-    robin = np.array([-2.0 * p.eval(float(y)) / h for y in grid.coords(outer_bc)])
+    robin = -2.0 * p.eval(grid.coords(outer_bc)) / h
     gamma = np.zeros((n, n))
     gamma[0, :] += robin
     gamma[:, 0] += robin

@@ -15,18 +15,23 @@ H_pq = 1/(lam_p + lam_q - s), and D_Gamma enters through a Woodbury
 capacitance matrix over the edge nodes with sigma != 0.  No sparse factor
 of A - s*I is formed.
 
-Counts use the inertia of a symmetric sparse triangular factorization of
-A - tau*I rather than Ritz values: clustered eigenvalues cannot be missed
-that way.
+Counts use the same structure.  Bordering B = T (x) I + I (x) T - tau with
+the Robin nodes gives [[B, U], [U^T, -D^{-1}]], whose two Schur complements
+are A - tau*I and -C(tau), the capacitance matrix above taken at tau.
+Haynsworth inertia additivity then gives
+
+    neg(A - tau) = #{(p, q): lam_p + lam_q < tau} + pos(C(tau)) - #{D > 0},
+
+an exact count that Ritz values could not give: clustered eigenvalues
+cannot be missed that way.  D > 0 at exactly the nodes with sigma < 0.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import eigh, eigh_tridiagonal, get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import eigh, eigh_tridiagonal, eigvalsh, get_lapack_funcs, lu_factor, lu_solve
 
 from .discretize import DiscreteForm
 from .errors import ConvergenceError, FactorizationError
@@ -35,6 +40,7 @@ DENSE_LIMIT = 2000
 MAX_ITER = 500
 SHIFT_MARGIN = 1e-3  # relative gap between the shift and the certified bound
 RCOND_MIN = 1e-8  # a capacitance matrix conditioned worse than this is singular
+SINGULAR_RTOL = 1e-13  # count_below: eigenvalue magnitudes below this, relative, are zero
 
 
 @dataclass(frozen=True)
@@ -65,29 +71,38 @@ def _certified_shift(F: DiscreteForm) -> float:
     return bound - SHIFT_MARGIN * (1.0 + abs(bound))
 
 
+def _capacitance(robin: np.ndarray, Q: np.ndarray, H: np.ndarray):
+    """The capacitance matrix C = diag(1/D) + U^T B^{-1} U of the Robin nodes.
+
+    B = T (x) I + I (x) T - s with T = Q diag(lam) Q^T is given by
+    H_pq = 1/(lam_p + lam_q - s), and robin holds the edge coefficient per
+    node, so that the form is B + s*I + U diag(D) U^T.  The Robin nodes are
+    (0, j) for j in J and (i, 0) for i in I, those with robin != 0; the
+    corner (0, 0) is counted once, in J, with both edges' terms.  C takes the
+    blocks of B^{-1} from the edge structure in O(n^2 |Gamma|).  Returns Q's
+    rows at J and at I, D and C.
+    """
+    q0 = Q[0]
+    J = np.flatnonzero(robin)
+    I = J[J > 0]
+    D = np.concatenate([robin[J] * np.where(J == 0, 2.0, 1.0), robin[I]])
+    QJ, QI = Q[J], Q[I]
+    m = (q0 * q0) @ H
+    cross = (QI * q0) @ H @ (QJ * q0).T
+    C = np.block([[(QJ * m) @ QJ.T, cross.T], [cross, (QI * m) @ QI.T]])
+    C[np.diag_indices_from(C)] += 1.0 / D
+    return QJ, QI, D, C
+
+
 def _shift_inverse(F: DiscreteForm, shift: float):
     """x -> (A - shift*I)^{-1} x by fast diagonalisation plus a Woodbury
-    correction for D_Gamma.
-
-    The Robin nodes are (0, j) for j in J and (i, 0) for i in I, those with
-    sigma != 0; the corner (0, 0) is counted once, in J, with both edges'
-    terms.  The capacitance diag(1/D) + G over them takes the blocks of
-    G = (T (x) I + I (x) T - shift)^{-1} from the edge structure in
-    O(n^2 |Gamma|).
-    """
+    correction for D_Gamma through the capacitance matrix."""
     n = F.n
     lam, Q = eigh_tridiagonal(F.t_diag, F.t_off)
     H = 1.0 / (lam[:, None] + lam[None, :] - shift)
     q0 = Q[0]
-    J = np.flatnonzero(F.robin)
-    I = J[J > 0]
-    D = np.concatenate([F.robin[J] * np.where(J == 0, 2.0, 1.0), F.robin[I]])
-    QJ, QI = Q[J], Q[I]
+    QJ, QI, D, C = _capacitance(F.robin, Q, H)
     if D.size:
-        m = (q0 * q0) @ H
-        cross = (QI * q0) @ H @ (QJ * q0).T
-        C = np.block([[(QJ * m) @ QJ.T, cross.T], [cross, (QI * m) @ QI.T]])
-        C[np.diag_indices_from(C)] += 1.0 / D
         lu = lu_factor(C, check_finite=False)
         (gecon,) = get_lapack_funcs(("gecon",), (C,))
         rcond = gecon(lu[0], np.abs(C).sum(axis=0).max())[0]
@@ -101,7 +116,8 @@ def _shift_inverse(F: DiscreteForm, shift: float):
         W = H * (Q.T @ x.reshape(n, n) @ Q)
         if D.size:
             y = lu_solve(lu, np.concatenate([(q0 @ W) @ QJ.T, QI @ (W @ q0)]))
-            W -= H * (np.outer(q0, y[: J.size] @ QJ) + np.outer(y[J.size :] @ QI, q0))
+            j = len(QJ)
+            W -= H * (np.outer(q0, y[:j] @ QJ) + np.outer(y[j:] @ QI, q0))
         return (Q @ W @ Q.T).ravel()
 
     return solve
@@ -187,33 +203,39 @@ def lowest_eigenpairs(
 def count_below(F: DiscreteForm, tau: float) -> int:
     """Exact number of eigenvalues strictly below tau, by inertia.
 
-    Factors A - tau*I with a diagonal-pivot (no row interchange) sparse LU in
-    symmetric mode; the signs of the U diagonal then give the inertia.  A
-    near-zero pivot means tau sits on an eigenvalue: tau is perturbed by
-    1e-10 and the factorization retried.
+    With T's eigenvalues lam and the capacitance C(tau) over the nodes with
+    sigma != 0, Haynsworth inertia additivity gives
+
+        neg(A - tau) = #{(p, q): lam_p + lam_q < tau} + pos(C(tau))
+                       - #{nodes with sigma < 0},
+
+    the last term counting the entries D = -2*sigma/h > 0.  The split needs
+    B = T (x) I + I (x) T - tau regular.  When min|lam_p + lam_q - tau| is
+    below SINGULAR_RTOL relative to the largest (outer Neumann at tau = 0:
+    T has the eigenvalue 0), the count is redone with c = 1/h moved from
+    D_Gamma into T, T + c*e0*e0^T: every edge node is then a Robin node,
+    with D = -2*sigma/h - c.
+    When min|eig(C)| is below SINGULAR_RTOL relative to the largest, tau
+    sits on an eigenvalue of A: tau is moved up by 1e-10 and the count
+    retried, up to three times.  A count at such a tau lies between the
+    number of eigenvalues strictly below tau and that strictly below
+    tau + 3e-10.
     """
-    A = F.matrix.tocsc()
-    dim = A.shape[0]
-    eye = sp.identity(dim, format="csc")
     t = tau
     for attempt in range(4):
-        B = (A - t * eye).tocsc()
-        try:
-            lu = spla.splu(
-                B,
-                permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True},
-            )
-        except RuntimeError:
-            t = tau + (attempt + 1) * 1e-10
-            continue
-        d = lu.U.diagonal()
-        dmax = float(np.max(np.abs(d)))
-        if dmax == 0 or float(np.min(np.abs(d))) < 1e-13 * dmax:
-            t = tau + (attempt + 1) * 1e-10
-            continue
-        return int(np.sum(d < 0))
+        for c in (0.0, 1.0 / F.grid.h):
+            d = F.t_diag.copy()
+            d[0] += c
+            lam, Q = eigh_tridiagonal(d, F.t_off)
+            S = lam[:, None] + lam[None, :] - t
+            if np.abs(S).min() < SINGULAR_RTOL * np.abs(S).max():
+                continue  # B is singular at t: try the next split
+            _, _, D, C = _capacitance(F.robin - c, Q, 1.0 / S)
+            mu = eigvalsh(C, check_finite=False)
+            if mu.size and np.abs(mu).min() < SINGULAR_RTOL * np.abs(mu).max():
+                break  # A - t is singular: move t
+            return int(np.sum(S < 0) + np.sum(mu > 0) - np.sum(D > 0))
+        t = tau + (attempt + 1) * 1e-10
     raise FactorizationError(
         f"zero pivot persists near tau={tau}; perturb tau and retry"
     )

@@ -31,9 +31,9 @@ class ConvergenceError(RobinSpectraError):
 
 
 class FactorizationError(RobinSpectraError):
-    """A factorization broke down: the inertia count's pivots stay zero when
-    tau is perturbed, or the shift-invert capacitance matrix is singular
-    because the shift touches the spectrum."""
+    """A factorization broke down: the inertia count's capacitance matrix
+    stays singular when tau is perturbed, or the shift-invert capacitance
+    matrix is singular because the shift touches the spectrum."""
 
 
 class UnderflowWindowError(RobinSpectraError):

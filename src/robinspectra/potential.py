@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.integrate import quad
 
 from .errors import NotIntegrableError
@@ -25,13 +26,17 @@ class BoundaryPotential:
         """Left-closed/right-open cells (lo, hi, value) covering the support."""
         raise NotImplementedError
 
-    def eval(self, y: float) -> float:
-        if y < 0:
-            raise ValueError(f"boundary coordinate must be nonnegative, got {y}")
-        for lo, hi, v in self.cells():
-            if lo <= y < hi:
-                return v
-        return 0.0
+    def eval(self, y: float | np.ndarray) -> float | np.ndarray:
+        """sigma at y >= 0; y is a float, or an array of them sampled in one
+        sorted search over the cells' left edges."""
+        ys = np.asarray(y, dtype=float)
+        if np.any(ys < 0):
+            raise ValueError(f"boundary coordinate must be nonnegative, got {ys.min()}")
+        # the zero sentinel cell comes last; index -1 (no cell yet) picks it
+        lo, hi, v = np.array([*self.cells(), (math.inf, math.inf, 0.0)], dtype=float).T
+        k = np.searchsorted(lo, ys, side="right") - 1
+        out = np.where(ys < hi[k], v[k], 0.0)
+        return float(out) if out.ndim == 0 else out
 
     def ess_sup(self) -> float:
         return max((abs(v) for _, _, v in self.cells()), default=0.0)

@@ -263,6 +263,21 @@ def test_subcommand_overrides_tasks(tmp_path):
     assert not (out / "solve.json").exists()
 
 
+def test_main_reuses_parser_without_carrying_arguments(tmp_path, capsys):
+    default_out = tmp_path / "from_config"
+    path = write_cfg(tmp_path, base_config(output_dir=str(default_out)))
+    for argv, code in ((["--help"], 0), (["bogus"], 2), ([], 2)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+    assert "Spectral laboratory" in capsys.readouterr().out
+    assert main(["bounds", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    # the second call's --out default is not the first call's value
+    assert main(["bounds", "--config", str(path)]) == 0
+    assert (default_out / "bounds.json").exists()
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_subcommand_manifest_hashes_overridden_config(tmp_path):
     cfg = base_config(tasks=["solve", "bounds"])
     out = tmp_path / "out"

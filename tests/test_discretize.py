@@ -7,7 +7,7 @@ from scipy.linalg import eigh
 from robinspectra.analysis import richardson
 from robinspectra.discretize import Grid, OuterBC, assemble, inject_function
 from robinspectra.eigensolve import lowest_eigenpairs
-from robinspectra.potential import Constant, PiecewiseConstant, Step
+from robinspectra.potential import Constant, PiecewiseConstant, Step, Tabulated
 
 # small grids are deliberate here; silence the truncation advisory
 pytestmark = pytest.mark.filterwarnings("ignore:truncation radius")
@@ -50,6 +50,31 @@ def test_form_matches_trapezoid_quadrature(p, bc):
     q -= h * np.sum(sigma * w1 * (u[0, :] ** 2 + u[:, 0] ** 2))
     w = F.scale * u.ravel()
     assert float(w @ (F.matrix @ w)) == pytest.approx(q, rel=1e-12)
+
+
+# One potential of each kind; nodes fall on cell edges (y = 1.0, 0.5, 0.3).
+EVERY_KIND = [
+    Constant(0.8),
+    Constant(0.0),
+    Step(1.3, 1.0),
+    PiecewiseConstant((0.5, 1.0, 2.0), (1.0, 0.0, -0.4)),
+    Tabulated(tuple(np.random.default_rng(5).uniform(-1, 2, 1000)), 0.003),
+]
+
+
+@pytest.mark.parametrize("bc", list(OuterBC))
+@pytest.mark.parametrize("p", EVERY_KIND, ids=lambda p: type(p).__name__)
+def test_robin_sampling_matches_per_node_scan(p, bc):
+    g = Grid(4, 0.1)
+    F = assemble(p, g, bc)
+    # the per-node linear scan over [lo, hi) cells that the sorted search replaced
+    scan = [
+        next((v for lo, hi, v in p.cells() if lo <= y < hi), 0.0)
+        for y in map(float, g.coords(bc))
+    ]
+    expected = np.array([-2.0 * s / g.h for s in scan])
+    assert np.array_equal(F.robin, expected)  # bitwise
+    assert np.array_equal(p.eval(g.coords(bc)), scan)
 
 
 def test_at_most_five_nonzeros_per_row():

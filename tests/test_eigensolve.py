@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigh_tridiagonal
 
+from robinspectra import eigensolve
 from robinspectra.certify import crude_lower_bound
 from robinspectra.discretize import Grid, OuterBC, assemble
 from robinspectra.eigensolve import (
@@ -12,6 +13,7 @@ from robinspectra.eigensolve import (
 )
 from robinspectra.errors import FactorizationError
 from robinspectra.potential import Constant, PiecewiseConstant, Step, Tabulated
+from superlu_inertia import superlu_count_below
 
 # small grids are deliberate here; silence the truncation advisory
 pytestmark = pytest.mark.filterwarnings("ignore:truncation radius")
@@ -128,6 +130,105 @@ def test_count_below_matches_dense(small_step_form):
     vals = eigh(F.matrix.toarray(), eigvals_only=True)
     for tau in (-1.5, -0.5, 0.0, 0.3, 2.0):
         assert count_below(F, tau) == int(np.sum(vals < tau))
+
+
+# Small forms for the dense count comparison, one per branch of the
+# Haynsworth count.
+COUNT_FORMS = {
+    # no Robin node: the count is #{lam_p + lam_q < tau} alone
+    "empty_gamma": (Constant(0.0), OuterBC.DIRICHLET),
+    # every Robin node has D > 0
+    "negative_constant": (Constant(-0.7), OuterBC.DIRICHLET),
+    # nodes of both signs
+    "negative_cell": (PiecewiseConstant((0.5, 1.0), (1.0, -0.4)), OuterBC.DIRICHLET),
+    # C = diag(1/D) + ... is dominated by 1/D = -1e7
+    "weak": (Constant(1e-8), OuterBC.DIRICHLET),
+    "strong": (Constant(50.0), OuterBC.DIRICHLET),
+    # outer Neumann: T has the eigenvalue 0
+    "neumann_step": (Step(1, 1), OuterBC.NEUMANN),
+    "neumann_zero": (Constant(0.0), OuterBC.NEUMANN),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(COUNT_FORMS))
+def count_form(request):
+    p, bc = COUNT_FORMS[request.param]
+    F = assemble(p, Grid(4, 0.2), bc)
+    return F, eigh(F.matrix.toarray(), eigvals_only=True)
+
+
+def test_count_below_matches_dense_off_eigenvalues(count_form):
+    F, vals = count_form
+    # midpoints of the gaps between distinct eigenvalues, plus both ends
+    gaps = np.flatnonzero(np.diff(vals) > 1e-6)[::7]
+    taus = [vals[0] - 1.0, *((vals[gaps] + vals[gaps + 1]) / 2), vals[-1] + 1.0]
+    for tau in taus:
+        assert count_below(F, tau) == int(np.sum(vals < tau)), tau
+
+
+def _neumann_zero():
+    # outer Neumann: T has the eigenvalue 0, so tau = 0 is one of B's
+    return assemble(Constant(1.0), Grid(4, 0.2), OuterBC.NEUMANN), 0.0
+
+
+def _exact_pair_sum():
+    F = assemble(Step(1, 1), Grid(4, 0.2), OuterBC.DIRICHLET)
+    lam, _ = eigh_tridiagonal(F.t_diag, F.t_off)  # the call count_below makes
+    return F, lam[0] + lam[1]
+
+
+@pytest.mark.filterwarnings("error")  # a 1/0 in H would warn
+@pytest.mark.parametrize("case", [_neumann_zero, _exact_pair_sum])
+def test_count_below_where_kronecker_part_is_singular(case):
+    F, tau = case()  # B = T (x) I + I (x) T - tau is singular, A - tau is not
+    vals = eigh(F.matrix.toarray(), eigvals_only=True)
+    assert np.abs(vals - tau).min() > 1e-3
+    assert count_below(F, tau) == int(np.sum(vals < tau))
+
+
+def test_count_below_on_simple_eigenvalue_counts_it():
+    F = assemble(Constant(1.0), Grid(4, 0.2), OuterBC.DIRICHLET)
+    # constant sigma separates: A = T_r (x) I + I (x) T_r, T_r = T + r*e0*e0^T
+    d = F.t_diag.copy()
+    d[0] += F.robin[0]
+    tau = 2.0 * eigh_tridiagonal(d, F.t_off, eigvals_only=True)[0]
+    # C(tau) is singular, so tau moves up past the ground state
+    assert count_below(F, tau) == 1
+
+
+def test_count_below_on_double_eigenvalue(small_step_form):
+    F = small_step_form
+    vals = eigh(F.matrix.toarray(), eigvals_only=True)
+    # the x <-> y symmetry pairs eigenvalues
+    double = np.flatnonzero(np.diff(vals) < 1e-9 * (1 + np.abs(vals[1:])))
+    assert double.size
+    for k in double[:5]:
+        tau = vals[k]
+        count = count_below(F, tau)
+        assert np.sum(vals < tau - 1e-9) <= count <= np.sum(vals <= tau + 1e-9), tau
+
+
+def test_count_below_raises_when_perturbation_budget_runs_out(small_step_form, monkeypatch):
+    monkeypatch.setattr(eigensolve, "SINGULAR_RTOL", 1.0)
+    with pytest.raises(FactorizationError, match="zero pivot persists near tau=0.0"):
+        count_below(small_step_form, 0.0)
+
+
+def test_count_below_matches_superlu_on_sweep_grid():
+    rng = np.random.default_rng(11)
+    for sigma, L in zip(rng.uniform(1, 2, 10), rng.uniform(0.25, 2, 10)):
+        F = assemble(Step(float(sigma), float(L)), Grid(8, 0.1), OuterBC.DIRICHLET)
+        E = float(lowest_eigenpairs(F, 1).eigenvalues[0])
+        delta = 1e-7 * (1 + abs(E))
+        for tau in (0.0, E - delta, E + delta):
+            assert count_below(F, tau) == superlu_count_below(F, tau), (sigma, L, tau)
+
+
+@pytest.mark.parametrize("bc", list(OuterBC))
+def test_count_below_matches_superlu_constant(bc):
+    F = assemble(Constant(1.0), Grid(12, 0.05), bc)
+    for tau in (-1.0, 0.0, 0.1):
+        assert count_below(F, tau) == superlu_count_below(F, tau), tau
 
 
 def test_count_below_consistent_with_negative_count(small_step_form):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,17 @@ def test_eval_examples():
 def test_eval_rejects_negative_y():
     with pytest.raises(ValueError):
         Step(1, 1).eval(-0.1)
+    with pytest.raises(ValueError):
+        Step(1, 1).eval(np.array([0.5, -0.1]))
+
+
+def test_eval_array_matches_scalar():
+    p = PiecewiseConstant((0.5, 1.0), (1.0, -0.4))
+    ys = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 3.0])
+    vals = p.eval(ys)
+    assert isinstance(p.eval(0.5), float)
+    assert vals.shape == ys.shape
+    assert list(vals) == [p.eval(float(y)) for y in ys] == [1.0, 1.0, -0.4, -0.4, 0.0, 0.0]
 
 
 def test_ess_sup():
