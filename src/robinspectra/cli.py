@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -494,8 +495,10 @@ class Runner:
         cfg = self.cfg
         points = [(s, L) for s in cfg.sweep_sigma for L in cfg.sweep_L]
         sweep_point = partial(_sweep_point, cfg)
-        if self.workers > 1 and len(points) > 1:
-            with ProcessPoolExecutor(max_workers=self.workers) as pool:
+        # the pool forks all its workers at once, so never more than can run
+        workers = min(self.workers, len(points), os.cpu_count() or 1)
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(sweep_point, points))
         else:
             rows = [sweep_point(point) for point in points]
@@ -520,12 +523,22 @@ def _sweep_point(cfg: Config, point: tuple[float, float]) -> list[str]:
     ]
     if cfg.sweep_solve:
         F = assemble(p, Grid(cfg.R, min(cfg.hs)), OuterBC.DIRICHLET)
-        res = lowest_eigenpairs(F, cfg.k, cfg.tol)
+        res = lowest_eigenpairs(F, 1, cfg.tol)  # the row holds the ground energy only
         row.append(_fmt(float(res.eigenvalues[0])))
         row.append(str(count_below(F, 0.0)))
     else:
         row.extend(["", ""])
     return row
+
+
+def _workers(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return value
 
 
 @cache  # built once per process, on the first call of main
@@ -539,7 +552,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="experiment config file")
         sp.add_argument("--out", default=None, help="output directory override")
-        sp.add_argument("--workers", type=int, default=1)
+        sp.add_argument("--workers", type=_workers, default=1, help="sweep processes, at least 1")
     return parser
 
 

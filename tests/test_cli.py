@@ -7,6 +7,7 @@ import pytest
 from robinspectra import cli
 from robinspectra.cli import main, parse_config
 from robinspectra.discretize import OuterBC
+from robinspectra.eigensolve import lowest_eigenpairs
 from robinspectra.errors import (
     ConfigError,
     ConvergenceError,
@@ -364,6 +365,74 @@ def test_sweep_parallel_matches_serial(tmp_path):
         ["run", "--config", str(path), "--out", str(b), "--workers", "2"]
     ) == 0
     assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """ProcessPoolExecutor replaced by an in-process map; the max_workers it
+    was asked for, so that no test starts a process."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
+@pytest.mark.parametrize("cpus, size", [(3, 3), (64, 4)])
+def test_sweep_pool_bounded_by_points_and_cpus(tmp_path, monkeypatch, pool_sizes, cpus, size):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    cfg = base_config(tasks=["sweep"], sweep={"sigma": [0.5, 1.0], "L": [1.0, 2.0]})
+    path = write_cfg(tmp_path, cfg)
+    argv = ["run", "--config", str(path), "--out", str(tmp_path / "o"), "--workers", "5000"]
+    assert main(argv) == 0
+    assert pool_sizes == [size]
+
+
+@pytest.mark.parametrize("workers", ["0", "-2", "two"])
+def test_workers_below_one_rejected(tmp_path, pool_sizes, workers):
+    cfg = base_config(tasks=["sweep"], sweep={"sigma": [0.5, 1.0], "L": [1.0]})
+    path = write_cfg(tmp_path, cfg)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(path), "--out", str(tmp_path / "o"), "--workers", workers])
+    assert exc.value.code == 2
+    assert pool_sizes == []
+
+
+def test_sweep_solves_for_the_ground_energy_only(tmp_path, monkeypatch):
+    seen = []
+
+    def spy(F, k, *args, **kwargs):
+        seen.append(k)
+        return lowest_eigenpairs(F, k, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "lowest_eigenpairs", spy)
+    rows = {}
+    for k in (1, 3):
+        cfg = base_config(
+            solver={"k": k, "tol": 1e-8},
+            tasks=["sweep"],
+            sweep={"sigma": [1.0, 1.5], "L": [0.5], "solve": True},
+        )
+        out = tmp_path / f"k{k}"
+        assert main(["run", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
+        lines = (out / "sweep.csv").read_text().strip().splitlines()[1:]
+        rows[k] = [line.split(",") for line in lines]
+    assert seen == [1] * 4
+    for r1, r3 in zip(rows[1], rows[3]):
+        assert float(r3[5]) == pytest.approx(float(r1[5]), rel=1e-8)
+        assert r3[6] == r1[6]
 
 
 def _read_decay(out):

@@ -11,7 +11,7 @@ from robinspectra.eigensolve import (
     count_below,
     lowest_eigenpairs,
 )
-from robinspectra.errors import FactorizationError
+from robinspectra.errors import ConvergenceError, FactorizationError
 from robinspectra.potential import Constant, PiecewiseConstant, Step, Tabulated
 from superlu_inertia import superlu_count_below
 
@@ -57,6 +57,10 @@ STRUCTURED_FORMS = {
     # sigma < 0 on part of the edge: D_Gamma has both signs
     "oscillating": (PiecewiseConstant((0.5, 1.0), (1.0, -0.4)), OuterBC.DIRICHLET),
     "tabulated": (Tabulated((1.0, 0.5, -0.2, 0.8), 0.3), OuterBC.DIRICHLET),
+    # the corner is no Robin node, other edge nodes are
+    "corner_off": (PiecewiseConstant((0.2, 1.0), (0.0, 1.0)), OuterBC.DIRICHLET),
+    # the corner is the only Robin node, listed on both edges
+    "corner_only": (PiecewiseConstant((0.1,), (-0.5,)), OuterBC.DIRICHLET),
 }
 
 
@@ -105,6 +109,32 @@ def test_dense_path_counts_no_applications(small_step_form):
     assert lowest_eigenpairs(small_step_form, 2, method="dense").applications == 0
 
 
+@pytest.mark.parametrize("k, shift_invert", [(3, True), (150, False)])
+def test_auto_selects_by_dimension_and_basis(small_step_form, k, shift_invert):
+    F = small_step_form
+    assert F.dimension == 400
+    res = lowest_eigenpairs(F, k)
+    assert (res.applications > 0) == shift_invert
+    dense = eigh(F.matrix.toarray(), eigvals_only=True)[:k]
+    assert np.abs(res.eigenvalues - dense).max() < 1e-9 * (1 + np.abs(dense).max())
+
+
+def test_shift_invert_refuses_a_basis_over_half_the_dimension():
+    F = assemble(Step(1, 1), Grid(2, 0.2), OuterBC.DIRICHLET)
+    assert F.dimension == 100
+    with pytest.raises(ValueError, match=r"2k \+ 10 = 130"):
+        lowest_eigenpairs(F, 60, method="shift_invert")
+
+
+def test_arpack_error_is_a_convergence_error(small_step_form, monkeypatch):
+    def fail(*args, **kwargs):
+        raise eigensolve.spla.ArpackError(3)
+
+    monkeypatch.setattr(eigensolve.spla, "eigsh", fail)
+    with pytest.raises(ConvergenceError, match="ARPACK error 3"):
+        lowest_eigenpairs(small_step_form, 2, method="shift_invert")
+
+
 def test_result_invariants(small_step_form):
     res = lowest_eigenpairs(small_step_form, 4)
     assert np.all(np.diff(res.eigenvalues) >= 0)
@@ -147,6 +177,10 @@ COUNT_FORMS = {
     # outer Neumann: T has the eigenvalue 0
     "neumann_step": (Step(1, 1), OuterBC.NEUMANN),
     "neumann_zero": (Constant(0.0), OuterBC.NEUMANN),
+    # the corner is no Robin node, other edge nodes are
+    "corner_off": (PiecewiseConstant((0.2, 1.0), (0.0, 1.0)), OuterBC.DIRICHLET),
+    # only the corner has sigma != 0, and sigma < 0: its D > 0 counts on both edges
+    "corner_only": (PiecewiseConstant((0.1,), (-0.5,)), OuterBC.DIRICHLET),
 }
 
 
