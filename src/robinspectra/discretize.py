@@ -123,14 +123,20 @@ def assemble(p: BoundaryPotential, grid: Grid, outer_bc: OuterBC) -> DiscreteFor
     d = 1.0 / (h * np.sqrt(w1))
     t_off = -d[:-1] * d[1:]
     t_diag = 2.0 * w1 * d * d
-    T = sp.diags([t_off, t_diag, t_off], [-1, 0, 1])
 
     # Robin terms -2*sigma/h on the edges x = 0 and y = 0; the corner gets both.
     robin = -2.0 * p.eval(grid.coords(outer_bc)) / h
     gamma = np.zeros((n, n))
     gamma[0, :] += robin
     gamma[:, 0] += robin
-    A = (sp.kronsum(T, T) + sp.diags(gamma.ravel())).tocsr()
+    # The five diagonals of T (x) I + I (x) T + D_Gamma: T's off-diagonal
+    # within each block of n (zero across block boundaries) and between
+    # blocks.  The conversion to CSR stores no zero, so neither those block
+    # boundaries nor a diagonal entry that cancels to 0 is stored.
+    diag = (t_diag[:, None] + t_diag[None, :] + gamma).ravel()
+    within = np.tile(np.append(t_off, 0.0), n)[:-1]
+    between = np.repeat(t_off, n)
+    A = sp.diags([between, within, diag, within, between], [-n, -1, 0, 1, n], format="csr")
 
     scale = h * np.sqrt(np.outer(w1, w1).ravel())
     return DiscreteForm(

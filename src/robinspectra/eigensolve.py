@@ -17,6 +17,14 @@ once on each edge.  The x <-> y symmetry splits that matrix into two
 sectors of one edge's size, factored apart.  No sparse factor of A - s*I
 is formed.
 
+T is the cosine operator, so lam and Q are known in closed form: with N
+intervals and theta_m = (m + 1/2)*pi/N (outer Dirichlet, n = N nodes) or
+m*pi/N (outer Neumann, n = N + 1 nodes), lam_m = (2*sin(theta_m/2)/h)^2
+and Q is the orthonormal DCT-III (Dirichlet) or DCT-I (Neumann) matrix.
+On large grids whose FFT length is 5-smooth the basis changes Q^T X Q and
+Q W Q^T are therefore 2-D cosine transforms, O(n^2 log n) instead of the
+O(n^3) of two dense products; DCT_MIN_NODES says where.
+
 Counts use the same structure.  Bordering B = T (x) I + I (x) T - tau with
 the Robin nodes gives [[B, U], [U^T, -D^{-1}]], whose two Schur complements
 are A - tau*I and -C(tau), the capacitance matrix above taken at tau.
@@ -35,9 +43,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse.linalg as spla
+from scipy.fft import dctn, idctn, next_fast_len
 from scipy.linalg import eigh, eigh_tridiagonal, eigvalsh, get_lapack_funcs, lu_factor
 
-from .discretize import DiscreteForm
+from .discretize import DiscreteForm, OuterBC
 from .errors import ConvergenceError, FactorizationError
 
 # Dense eigh up to this dimension.  Median of 9 solves of Step(1, 1), h = 0.2,
@@ -50,9 +59,36 @@ from .errors import ConvergenceError, FactorizationError
 #     144    2.37/0.77    2.39/1.29    2.42/2.12
 #     400    22.2/0.80                 22.9/2.67
 #
-# At large k the basis rule decides instead: at 1,024 dof dense takes 0.24 s
-# for any k, shift-invert 0.07 s at k = dim/8 and 0.44 s at k = dim/4 - 5.
+# At large k the Lanczos basis 2k + 10 decides instead: dense once it exceeds
+# a third of the dimension, k > dim/6 - 5.  Median of 5 solves of Step(1, 1),
+# h = 0.1, outer Dirichlet, same VM; dense s / shift-invert s:
+#
+#     dof    k = dim/8     5*dim/32      3*dim/16      dim/4 - 5
+#     400    0.045/0.025   0.042/0.026   0.047/0.033   0.044/0.053
+#    1024    0.396/0.122   0.396/0.225   0.401/0.418   0.429/0.867
+#    2116    2.335/1.494   2.547/2.536   2.633/4.178   2.487/8.186
+#
+# The crossover falls from between 3*dim/16 and dim/4 at 400 dof to 5*dim/32
+# at 2,116 dof.  On these and intermediate samples dim/6 picks the slower
+# method by at most 1.8x (400 dof, k = 68) and 1.4x (1,024 dof, k = 176).
 DENSE_LIMIT = 100
+# Basis changes by cosine transform from this many nodes per side, when the
+# transform's FFT length (N for DCT-III, 2N for DCT-I) is 5-smooth; two GEMMs
+# otherwise.  Median us of one forward plus one inverse basis change, n x n
+# GEMMs / dctn + idctn, BLAS on one thread (2-vCPU VM):
+#
+#     nodes   DCT-III          nodes   DCT-I
+#       80      93/180           81     104/223
+#      120     335/352          121     365/449
+#      160     770/535          161     843/829
+#      200    1115/683          201    1356/1698
+#      240    2649/1575         241    2682/2577
+#      256    4031/1843         257    2964/2401
+#      480   19409/6806         481   18157/10587
+#      241    2699/22153        242    2341/29415   (N = 241 prime: Bluestein)
+#
+# DCT-III wins from about 160 nodes, DCT-I from about 240.
+DCT_MIN_NODES = 240
 MAX_ITER = 500
 SHIFT_MARGIN = 1e-3  # relative gap between the shift and the certified bound
 RCOND_MIN = 1e-8  # a capacitance matrix conditioned worse than this is singular
@@ -87,6 +123,29 @@ def _certified_shift(F: DiscreteForm) -> float:
     return bound - SHIFT_MARGIN * (1.0 + abs(bound))
 
 
+def _cosine_basis(F: DiscreteForm) -> tuple[np.ndarray, np.ndarray]:
+    """T's eigenvalues, ascending, and orthonormal eigenvectors in closed form.
+
+    theta_m = a_m*pi/(2N) with a_m = 2m + 1 (outer Dirichlet) or 2m (outer
+    Neumann); Q_jm = cos(j*theta_m) scaled to the orthonormal DCT-III or
+    DCT-I matrix, so that Q^T X Q = dctn(X, type=3 or 1, norm="ortho").
+    The cosine's argument is reduced by its integer index j*a_m mod 4N.
+    """
+    n, N, h = F.n, F.grid.intervals, F.grid.h
+    dirichlet = F.outer_bc is OuterBC.DIRICHLET
+    a = 2 * np.arange(n) + dirichlet
+    lam = (2.0 * np.sin(np.pi * a / (4 * N)) / h) ** 2
+    cos = np.cos(np.pi / (2 * N) * np.arange(4 * N))
+    # sqrt of the trapezoid weight on the rows, and on the columns for DCT-I
+    c = np.ones(n)
+    c[0] = np.sqrt(0.5)
+    if not dirichlet:
+        c[-1] = np.sqrt(0.5)
+    col = np.sqrt(2.0 / N) * (1.0 if dirichlet else c)
+    Q = c[:, None] * cos[np.outer(np.arange(n), a) % (4 * N)] * col
+    return lam, Q
+
+
 def _capacitance(robin: np.ndarray, Q: np.ndarray, H: np.ndarray):
     """The two sectors of the capacitance C = diag(1/D) + U^T B^{-1} U.
 
@@ -111,9 +170,29 @@ def _capacitance(robin: np.ndarray, Q: np.ndarray, H: np.ndarray):
 
 def _shift_inverse(F: DiscreteForm, shift: float):
     """x -> (A - shift*I)^{-1} x by fast diagonalisation plus a Woodbury
-    correction for D_Gamma through the two capacitance sectors."""
-    n = F.n
-    lam, Q = eigh_tridiagonal(F.t_diag, F.t_off)
+    correction for D_Gamma through the two capacitance sectors.
+
+    T's eigenbasis Q is the closed-form cosine basis.  The basis changes
+    Q^T X Q and Q W Q^T are 2-D DCTs (type 3 for outer Dirichlet, type 1 for
+    outer Neumann, norm="ortho") from DCT_MIN_NODES nodes per side when the
+    FFT length, N or 2N, is 5-smooth, and two dense products otherwise.
+    """
+    n, N = F.n, F.grid.intervals
+    lam, Q = _cosine_basis(F)
+    kind, fft_len = (3, N) if F.outer_bc is OuterBC.DIRICHLET else (1, 2 * N)
+    if n >= DCT_MIN_NODES and next_fast_len(fft_len, real=True) == fft_len:
+        def forward(X):
+            return dctn(X, type=kind, norm="ortho")
+
+        def backward(W):
+            return idctn(W, type=kind, norm="ortho", overwrite_x=True)
+    else:
+        def forward(X):
+            return Q.T @ X @ Q
+
+        def backward(W):
+            return Q @ W @ Q.T
+
     H = 1.0 / (lam[:, None] + lam[None, :] - shift)
     q0 = Q[0]
     QJ, d, sectors = _capacitance(F.robin, Q, H)
@@ -130,7 +209,7 @@ def _shift_inverse(F: DiscreteForm, shift: float):
         lus.append(lu)
 
     def solve(x: np.ndarray) -> np.ndarray:
-        W = H * (Q.T @ x.reshape(n, n) @ Q)
+        W = H * forward(x.reshape(n, n))
         if lus:
             # U^T B^{-1} x = (rx, ry); with u, v the sectors' solutions for
             # rx + ry and rx - ry, C^{-1} (rx, ry) = ((u + v)/2, (u - v)/2).
@@ -139,7 +218,7 @@ def _shift_inverse(F: DiscreteForm, shift: float):
             rx, ry = QJ @ (q0 @ W), QJ @ (W @ q0)
             u, v = getrs(*lus[0], rx + ry)[0], getrs(*lus[1], rx - ry)[0]
             W -= H * (np.outer(q0, 0.5 * (u + v) @ QJ) + np.outer(0.5 * (u - v) @ QJ, q0))
-        return (Q @ W @ Q.T).ravel()
+        return backward(W).ravel()
 
     return solve
 
@@ -151,9 +230,9 @@ def lowest_eigenpairs(
 
     method: "auto", "dense", or "shift_invert".  "auto" takes dense eigh
     when the dimension is at most DENSE_LIMIT or when the Lanczos basis
-    2k + 10 exceeds half the dimension, and shift-invert otherwise;
-    "shift_invert" outside that range raises ValueError, since scipy would
-    silently clamp the basis to the dimension.
+    2k + 10 exceeds a third of the dimension, and shift-invert otherwise;
+    "shift_invert" with a basis over half the dimension raises ValueError,
+    since scipy would silently clamp the basis to the dimension.
     """
     A = F.matrix
     dim = A.shape[0]
@@ -163,7 +242,7 @@ def lowest_eigenpairs(
         raise ValueError("tol must be positive")
     ncv = 2 * k + 10
     if method == "auto":
-        method = "dense" if dim <= DENSE_LIMIT or 2 * ncv > dim else "shift_invert"
+        method = "dense" if dim <= DENSE_LIMIT or 3 * ncv > dim else "shift_invert"
 
     applications = 0
     if method == "dense":
@@ -252,9 +331,12 @@ def count_below(F: DiscreteForm, tau: float) -> int:
     t = tau
     for attempt in range(4):
         for c in (0.0, 1.0 / F.grid.h):
-            t_diag = F.t_diag.copy()
-            t_diag[0] += c
-            lam, Q = eigh_tridiagonal(t_diag, F.t_off)
+            if c:  # T + c*e0*e0^T has no cosine basis
+                t_diag = F.t_diag.copy()
+                t_diag[0] += c
+                lam, Q = eigh_tridiagonal(t_diag, F.t_off)
+            else:
+                lam, Q = _cosine_basis(F)
             S = lam[:, None] + lam[None, :] - t
             if np.abs(S).min() < SINGULAR_RTOL * np.abs(S).max():
                 continue  # B is singular at t: try the next split

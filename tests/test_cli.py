@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -483,3 +487,19 @@ def test_decay_window_rejected_exit_code(tmp_path, capsys):
     path = write_cfg(tmp_path, cfg)
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("config error: decay window rejected")
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_entry_point_defaults_blas_to_one_thread(preset):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    if preset is not None:
+        env.update(dict.fromkeys(BLAS_THREADS, preset))
+    code = f"import os, robinspectra.__main__; print([os.environ[v] for v in {BLAS_THREADS}])"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == repr([preset or "1"] * 3)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import eigh
 
 from robinspectra.analysis import richardson
@@ -75,6 +76,32 @@ def test_robin_sampling_matches_per_node_scan(p, bc):
     expected = np.array([-2.0 * s / g.h for s in scan])
     assert np.array_equal(F.robin, expected)  # bitwise
     assert np.array_equal(p.eval(g.coords(bc)), scan)
+
+
+@pytest.mark.parametrize("bc", list(OuterBC))
+@pytest.mark.parametrize(
+    "p, h",
+    [
+        *((p, 0.1) for p in EVERY_KIND),
+        # sigma(0) = 1/h: the corner's diagonal 4/h^2 - 4*sigma/h cancels, to
+        # rounding at h = 0.1 and to an exact 0 (not stored) at h = 0.25,
+        # where sigma is 1/h as the rounded T's diagonal gives it
+        (Constant(10.0), 0.1),
+        (Constant(3.999999999999999), 0.25),
+    ],
+    ids=lambda v: f"{type(v).__name__}({v.ess_sup():.16g})" if hasattr(v, "ess_sup") else None,
+)
+def test_matrix_matches_kronsum_reference(p, h, bc):
+    F = assemble(p, Grid(4, h), bc)
+    T = sp.diags([F.t_off, F.t_diag, F.t_off], [-1, 0, 1])
+    gamma = np.zeros((F.n, F.n))
+    gamma[0, :] += F.robin
+    gamma[:, 0] += F.robin
+    ref = (sp.kronsum(T, T) + sp.diags(gamma.ravel())).tocsr()
+    A = F.matrix
+    assert type(A) is type(ref) and A.indices.dtype == ref.indices.dtype == np.int32
+    for name in ("indptr", "indices", "data"):  # bitwise
+        assert np.array_equal(getattr(A, name), getattr(ref, name)), name
 
 
 def test_at_most_five_nonzeros_per_row():

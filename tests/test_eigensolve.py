@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.fft import dctn
 from scipy.linalg import eigh, eigh_tridiagonal
 
 from robinspectra import eigensolve
@@ -7,6 +10,7 @@ from robinspectra.certify import crude_lower_bound
 from robinspectra.discretize import Grid, OuterBC, assemble
 from robinspectra.eigensolve import (
     _certified_shift,
+    _cosine_basis,
     _shift_inverse,
     count_below,
     lowest_eigenpairs,
@@ -71,11 +75,52 @@ def structured_form(request):
     return F, eigh(F.matrix.toarray(), eigvals_only=True)
 
 
-def test_shift_invert_matches_dense_eigh(structured_form):
+def _spy_on_dctn(monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs["type"])
+        return dctn(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolve, "dctn", spy)
+    return calls
+
+
+@pytest.fixture
+def transforms(monkeypatch):
+    """The shift-inverse's two basis changes in turn: the cosine transform
+    at any size, then the two dense products at every size."""
+
+    def each():
+        for kind in ("dct", "gemm"):
+            monkeypatch.setattr(eigensolve, "DCT_MIN_NODES", 0 if kind == "dct" else math.inf)
+            calls = _spy_on_dctn(monkeypatch)
+            yield kind
+            # Grid(4, 0.2) has N = 20: both FFT lengths, 20 and 40, are 5-smooth
+            assert bool(calls) == (kind == "dct"), kind
+
+    return each
+
+
+@pytest.mark.parametrize("bc", list(OuterBC))
+@pytest.mark.parametrize("N", [20, 41, 480, 481])  # 41 is prime
+def test_cosine_basis_diagonalises_T(N, bc):
+    F = assemble(Constant(0.0), Grid(N * 0.1, 0.1), bc)
+    lam, Q = _cosine_basis(F)
+    T = np.diag(F.t_diag) + np.diag(F.t_off, 1) + np.diag(F.t_off, -1)
+    norm_T = np.linalg.norm(T, 2)
+    assert np.all(np.diff(lam) > 0)
+    assert np.linalg.norm(T @ Q - Q * lam, 2) <= 1e-13 * norm_T
+    assert np.linalg.norm(Q.T @ Q - np.eye(F.n), 2) <= 1e-13
+    assert np.abs(lam - eigh_tridiagonal(F.t_diag, F.t_off, eigvals_only=True)).max() <= 1e-13 * norm_T
+
+
+def test_shift_invert_matches_dense_eigh(structured_form, transforms):
     F, dense = structured_form
-    res = lowest_eigenpairs(F, 4, method="shift_invert")
-    assert np.abs(res.eigenvalues - dense[:4]).max() < 1e-9
-    assert res.applications > 0
+    for kind in transforms():
+        res = lowest_eigenpairs(F, 4, method="shift_invert")
+        assert np.abs(res.eigenvalues - dense[:4]).max() < 1e-9, kind
+        assert res.applications > 0
 
 
 def test_certified_shift_strictly_below_spectrum(structured_form):
@@ -97,11 +142,25 @@ def test_capacitance_breakdown_at_attained_bound():
         _shift_inverse(F, lam0)
 
 
-def test_shift_inverse_solves_shifted_system(structured_form):
+def test_shift_inverse_solves_shifted_system(structured_form, transforms):
     F, _ = structured_form
     shift = _certified_shift(F)
     x = np.random.default_rng(3).standard_normal(F.dimension)
+    for kind in transforms():
+        y = _shift_inverse(F, shift)(x)
+        assert np.linalg.norm(F.matrix @ y - shift * y - x) < 1e-10 * np.linalg.norm(x), kind
+
+
+@pytest.mark.parametrize("bc", list(OuterBC))
+def test_non_smooth_fft_length_keeps_the_dense_products(bc, monkeypatch):
+    # N = 41 is prime, so neither FFT length (41, 82) is 5-smooth
+    F = assemble(Step(1, 1), Grid(4.1, 0.1), bc)
+    monkeypatch.setattr(eigensolve, "DCT_MIN_NODES", 0)
+    calls = _spy_on_dctn(monkeypatch)
+    shift = _certified_shift(F)
+    x = np.random.default_rng(3).standard_normal(F.dimension)
     y = _shift_inverse(F, shift)(x)
+    assert not calls
     assert np.linalg.norm(F.matrix @ y - shift * y - x) < 1e-10 * np.linalg.norm(x)
 
 
@@ -109,7 +168,8 @@ def test_dense_path_counts_no_applications(small_step_form):
     assert lowest_eigenpairs(small_step_form, 2, method="dense").applications == 0
 
 
-@pytest.mark.parametrize("k, shift_invert", [(3, True), (150, False)])
+# dense from k > dim/6 - 5 = 61.7 at dim = 400
+@pytest.mark.parametrize("k, shift_invert", [(3, True), (61, True), (62, False), (150, False)])
 def test_auto_selects_by_dimension_and_basis(small_step_form, k, shift_invert):
     F = small_step_form
     assert F.dimension == 400
@@ -207,7 +267,7 @@ def _neumann_zero():
 
 def _exact_pair_sum():
     F = assemble(Step(1, 1), Grid(4, 0.2), OuterBC.DIRICHLET)
-    lam, _ = eigh_tridiagonal(F.t_diag, F.t_off)  # the call count_below makes
+    lam, _ = _cosine_basis(F)  # the basis count_below takes
     return F, lam[0] + lam[1]
 
 
