@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .discretize import DiscreteForm
 from .errors import NoAsymptoticRegimeError, UnderflowWindowError
@@ -86,11 +85,16 @@ def decay_fit(
     if len(radii) < 10:
         raise ValueError("need at least 10 sample radii in the window")
 
-    coords = F.grid.coords(F.outer_bc)
-    grid2d = np.asarray(v, dtype=np.float64).reshape(F.n, F.n)
-    interp = RegularGridInterpolator((coords, coords), grid2d, method="linear")
+    # bilinear in the cell whose lower corner is the last node <= the point
+    # (clipped to n - 2), so that points on nodes return the node values
+    g = np.asarray(v, dtype=np.float64).reshape(F.n, F.n)
+    c = F.grid.coords(F.outer_bc)
     pts = np.outer(radii, ray)
-    samples = interp(pts)
+    ij = np.clip(np.searchsorted(c, pts, side="right") - 1, 0, F.n - 2)
+    (i, j), (s, t) = ij.T, ((pts - c[ij]) / F.grid.h).T
+    samples = (1 - s) * ((1 - t) * g[i, j] + t * g[i, j + 1]) + s * (
+        (1 - t) * g[i + 1, j] + t * g[i + 1, j + 1]
+    )
 
     absvals = np.abs(samples)
     if np.any(absvals < UNDERFLOW_FLOOR):

@@ -1,8 +1,8 @@
 """Analytic bounds and certificates for a given boundary potential.
 
-Everything here is cheap: closed forms, 1D root finding and 1D quadrature.
-The expensive grid computations live in discretize/eigensolve and are only
-compared against these bounds by the analysis layer and the test suite.
+Everything here is cheap: closed forms and 1D root finding.  The expensive
+grid computations live in discretize/eigensolve and are only compared
+against these bounds by the analysis layer and the test suite.
 """
 from __future__ import annotations
 

@@ -373,26 +373,11 @@ class Runner:
                 "roots1d only covers the regime sigma_hat <= 2/L"
             )
         spec = interval_spectrum(sigma_hat, L, self.cfg.k_max)
-        rows = []
-        rows.append(
-            [
-                "0",
-                "negative",
-                _fmt(spec.kappa),
-                _fmt(-spec.kappa ** 2),
-                _fmt(abs(kappa_residual(spec.kappa, sigma_hat, L))),
-            ]
-        )
+        residual = abs(kappa_residual(spec.kappa, sigma_hat, L))
+        rows = [["0", "negative", _fmt(spec.kappa), _fmt(-spec.kappa**2), _fmt(residual)]]
         for i, k in enumerate(spec.positive_roots, start=1):
-            rows.append(
-                [
-                    str(i),
-                    "positive",
-                    _fmt(k),
-                    _fmt(k ** 2),
-                    _fmt(abs(root_function(k, sigma_hat, L))),
-                ]
-            )
+            residual = abs(root_function(k, sigma_hat, L))
+            rows.append([str(i), "positive", _fmt(k), _fmt(k**2), _fmt(residual)])
         write_csv(
             self._record("roots1d.csv"),
             ["index", "kind", "k_or_kappa", "eigenvalue", "residual"],

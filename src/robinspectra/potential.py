@@ -3,8 +3,8 @@
 Every kind is an immutable list of cells: left-closed, right-open intervals
 [lo, hi) on which sigma is constant, with sigma = 0 beyond the last cell.
 A constant is the one unbounded cell [0, inf).  `BoundaryPotential` writes
-each functional of sigma once over the cells, as a closed form per cell or
-an adaptive quadrature per cell; a kind only lists its cells.
+each functional of sigma once over the cells, as a closed form per cell; a
+kind only lists its cells.
 """
 from __future__ import annotations
 
@@ -12,11 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import gammainc, gammaincc, hyp1f1
 
 from .errors import NotIntegrableError
-
-STRETCHED_QUAD_ABSTOL = 1e-10
 
 
 class BoundaryPotential:
@@ -69,20 +67,25 @@ class BoundaryPotential:
             raise ValueError("stretch exponent must lie in (0, 1]")
         if math.isinf(self.support_bound()):
             raise NotIntegrableError("potential has infinite support")
-        total = 0.0
+        a, total = 1.0 / eps, 0.0
         for lo, hi, v in self.cells():
             if v == 0:
                 continue
-            val, _ = quad(
-                lambda y: math.exp(-(y ** eps)),
-                lo,
-                hi,
-                epsabs=STRETCHED_QUAD_ABSTOL,
-                epsrel=0.0,
-                limit=200,
-            )
-            total += v * val
+            if lo**eps > a:  # P ~ 1 on the whole cell: a difference of Q = 1 - P
+                total += v * math.gamma(1 + a) * (gammaincc(a, lo**eps) - gammaincc(a, hi**eps))
+            else:
+                total += v * (_stretched_head(hi, eps) - _stretched_head(lo, eps))
         return total
+
+
+def _stretched_head(y: float, eps: float) -> float:
+    """Integral of exp(-t**eps) over [0, y]: Gamma(1+a) P(a, x) with a = 1/eps
+    and x = y**eps, taken as y exp(-x) 1F1(1; 1+a; x) up to x = a, where
+    Gamma(1+a) may overflow; beyond x = a, a < 144 because y is finite."""
+    a, x = 1.0 / eps, y**eps
+    if x <= a:
+        return y * math.exp(-x) * hyp1f1(1.0, 1.0 + a, x)
+    return math.gamma(1 + a) * gammainc(a, x)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import RegularGridInterpolator
 
 from robinspectra.analysis import decay_fit, l2_distance, richardson
 from robinspectra.discretize import Grid, OuterBC, assemble, inject_function
@@ -44,6 +45,9 @@ def test_decay_fit_axis_ray(analytic_state):
     fit = decay_fit(F, v, -2.0, (1, 0), 3.0, 9.0, with_prefactor=False)
     assert fit.slope == pytest.approx(-1.0, abs=1e-6)
     assert fit.slope_stderr < 1e-8
+    # the samples sit on nodes and are the node values themselves
+    nodes = np.rint(np.asarray(fit.radii) / F.grid.h).astype(int)
+    assert fit.abs_phi == tuple(np.abs(v.reshape(F.n, F.n)[nodes, 0]))
 
 
 def test_decay_fit_prefactor_correction(analytic_state):
@@ -137,3 +141,13 @@ def test_l2_distance():
     d = l2_distance(F, u, v)
     assert 0 < d <= 2 + 1e-12
     assert d == pytest.approx(l2_distance(F, v, u), abs=1e-12)
+
+
+def test_decay_fit_off_node_ray_is_bilinear(analytic_state):
+    # the ray (2, 1) passes between nodes, so every sample is interpolated
+    F, v = analytic_state
+    fit = decay_fit(F, v, -2.0, (2, 1), 3.0, 9.0, with_prefactor=False)
+    coords = F.grid.coords(F.outer_bc)
+    interp = RegularGridInterpolator((coords, coords), v.reshape(F.n, F.n), method="linear")
+    ref = interp(np.outer(fit.radii, np.array([2.0, 1.0]) / math.sqrt(5.0)))
+    np.testing.assert_allclose(fit.abs_phi, np.abs(ref), rtol=1e-13, atol=0)

@@ -503,3 +503,16 @@ def test_entry_point_defaults_blas_to_one_thread(preset):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == repr([preset or "1"] * 3)
+
+
+def test_cli_imports_neither_scipy_integrate_nor_interpolate():
+    # the solver needs neither, and together they were most of a fresh import
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    code = (
+        "import sys, robinspectra.cli; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

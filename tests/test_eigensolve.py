@@ -363,3 +363,21 @@ def test_bad_arguments(small_step_form):
         lowest_eigenpairs(small_step_form, 2, tol=-1)
     with pytest.raises(ValueError):
         lowest_eigenpairs(small_step_form, 2, method="magic")
+
+
+# Lanczos returns the k lowest eigenvalues, none skipped and every copy of a
+# multiple one: the exact count below (just under) the k-th value sees only
+# returned values, and nothing lies below the first.  An ARPACK tolerance of
+# 1e-10 instead of 0 failed both: it skipped the oscillating form's third
+# eigenvalue and returned one copy of Constant(5)'s double fourth.
+@pytest.mark.parametrize(
+    "p, k",
+    [(PiecewiseConstant((0.5, 1.0), (1.0, -0.4)), 3), (Constant(5.0), 4)],
+    ids=["oscillating", "constant_5"],
+)
+def test_shift_invert_misses_no_eigenvalue(p, k):
+    F = assemble(p, Grid(12, 0.1), OuterBC.DIRICHLET)
+    vals = lowest_eigenpairs(F, k, method="shift_invert").eigenvalues
+    below = [lam - 1e-7 * (1 + abs(lam)) for lam in (vals[0], vals[-1])]
+    assert count_below(F, below[0]) == 0
+    assert count_below(F, below[1]) == np.count_nonzero(vals < below[1])

@@ -87,6 +87,30 @@ def test_stretched_weighted_integral():
     assert Constant(0).stretched_weighted_integral(0.5) == 0.0
 
 
+# Stretch exponents eps = 1/n of the certificate's test functions; n = 1000
+# is far past where Gamma(1 + 1/eps) overflows a float.
+STRETCHED_CASES = {
+    "step": Step(1, 1),
+    "oscillating": PiecewiseConstant((0.5, 1.0), (1.0, -0.4)),
+    "long_step": Step(2, 20),
+    # at n = 1, 2 the cells [2, 20) and [20, 40) start past y**eps = n, where
+    # the cell integral is a difference of the upper incomplete gamma function
+    "far_cells": PiecewiseConstant((2.0, 20.0, 40.0), (1.0, 2.0, -1.0)),
+    "tabulated": Tabulated([math.sin(k) + 0.5 for k in range(50)], 0.1),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40, 1000])
+@pytest.mark.parametrize("name", STRETCHED_CASES)
+def test_stretched_weighted_integral_matches_quad(name, n):
+    p, eps = STRETCHED_CASES[name], 1.0 / n
+    ref = sum(
+        v * quad(lambda y: math.exp(-(y**eps)), lo, hi, epsabs=1e-13, epsrel=0)[0]
+        for lo, hi, v in p.cells()
+    )
+    assert p.stretched_weighted_integral(eps) == pytest.approx(ref, rel=0, abs=1e-12)
+
+
 def test_tabulated_cell_eval():
     p = Tabulated([1.0, 2.0, 3.0], 0.5)
     assert p.eval(0.1) == 1.0
