@@ -8,12 +8,18 @@ parameter kappa solves
 
     kappa * tanh(kappa * L / 2) = sigma_hat,          kappa > sigma_hat,
 
-and the positive-energy levels are k^2 with k a positive root of
+and the positive-energy levels are k^2 with k a positive root of the phase
+condition
 
-    tan(k L) = 2 * sigma_hat * k / (sigma_hat^2 - k^2).
+    phi(k) = k L + 2 arctan(sigma_hat / k) = m pi,       m = 1, 2, ...
 
-Root finding is bracketed bisection on sign-safe cross-multiplied functions;
-no Newton steps near the tangent poles.
+phi starts at pi as k -> 0+, falls to its minimum at
+k = sqrt(sigma_hat (2/L - sigma_hat)) when sigma_hat < 2/L, and increases
+from there on.  So level 1 exists only for sigma_hat < 2/L and lies between
+that minimum and pi/L, and level m >= 2 is the single root in
+((m-1) pi/L, m pi/L).  Each level is one bisection of
+`root_function` = -(k^2 + sigma_hat^2) sin(phi) on its branch, and each
+root's residual is checked.
 """
 from __future__ import annotations
 
@@ -73,26 +79,32 @@ def _bisect(f, lo, hi, iters=200):
     return 0.5 * (lo + hi)
 
 
-def interval_ground_kappa(sigma_hat: float, L: float) -> float:
-    """Unique root kappa > sigma_hat of kappa*tanh(kappa*L/2) = sigma_hat.
-
-    The left-hand side is strictly increasing in kappa, so a single bisection
-    bracket suffices.
-    """
+def _ground(sigma_hat: float, L: float) -> tuple[float, float]:
+    """`interval_ground_kappa` and the residual of its equation."""
     if sigma_hat <= 0 or L <= 0:
         raise ValueError("sigma_hat and L must be positive")
 
     def f(k):
-        return k * math.tanh(k * L / 2) - sigma_hat
+        return kappa_residual(k, sigma_hat, L)
 
     lo = sigma_hat
     hi = sigma_hat + 2.0 / L + 10.0
     while f(hi) <= 0:
         hi *= 2
     kappa = _bisect(f, lo, hi)
-    if abs(f(kappa)) > KAPPA_RESIDUAL_TOL * max(1.0, sigma_hat):
-        raise ArithmeticError(f"kappa residual too large: {f(kappa):.3e}")
-    return kappa
+    res = f(kappa)
+    if abs(res) > KAPPA_RESIDUAL_TOL * max(1.0, sigma_hat):
+        raise ArithmeticError(f"kappa residual too large: {res:.3e}")
+    return kappa, res
+
+
+def interval_ground_kappa(sigma_hat: float, L: float) -> float:
+    """Unique root kappa > sigma_hat of kappa*tanh(kappa*L/2) = sigma_hat.
+
+    The left-hand side is strictly increasing in kappa, so a single bisection
+    bracket suffices.
+    """
+    return _ground(sigma_hat, L)[0]
 
 
 def kappa_residual(kappa: float, sigma_hat: float, L: float) -> float:
@@ -100,66 +112,52 @@ def kappa_residual(kappa: float, sigma_hat: float, L: float) -> float:
 
 
 def root_function(k: float, sigma_hat: float, L: float) -> float:
-    """Cross-multiplied, pole-free form of the positive-level condition."""
+    """Cross-multiplied form of the positive-level condition,
+    -(k^2 + sigma_hat^2) * sin(k L + 2 arctan(sigma_hat / k))."""
     return (
         math.sin(k * L) * (sigma_hat ** 2 - k ** 2)
         - 2 * sigma_hat * k * math.cos(k * L)
     )
 
 
-def root_scan_brackets(L: float, k_max: float) -> float:
-    """Brackets `interval_positive_roots` scans up to k_max, before rounding up."""
-    return k_max * 16 * L / math.pi
-
-
-def interval_positive_roots(sigma_hat: float, L: float, k_max: float) -> list[float]:
-    """All positive roots k <= k_max of the interval level condition.
-
-    Scans sign changes of the pole-free form on brackets obtained by splitting
-    each interval between consecutive multiples of pi/(2L) eight times, then
-    bisects.  Valid in the regime sigma_hat <= 2/L where the roots are simple.
-    """
+def _levels(sigma_hat: float, L: float, k_max: float) -> list[tuple[float, float]]:
+    """Each positive level k <= k_max and its `root_function` residual."""
     if sigma_hat <= 0 or L <= 0 or k_max <= 0:
         raise ValueError("sigma_hat, L and k_max must be positive")
 
     def g(k):
         return root_function(k, sigma_hat, L)
 
-    step = math.pi / (2 * L) / 8
-    n_steps = math.ceil(root_scan_brackets(L, k_max)) + 1
-    roots = []
-    prev_k = step * 1e-6  # skip the trivial root at k = 0
-    prev_g = g(prev_k)
-    for m in range(1, n_steps + 1):
-        k = min(m * step, k_max)
-        gk = g(k)
-        if gk == 0:
-            roots.append(k)
-        elif prev_g * gk < 0:
-            roots.append(_bisect(g, prev_k, k))
-        prev_k, prev_g = k, gk
-        if k >= k_max:
-            break
-
-    out = []
-    for k in roots:
-        if abs(k - sigma_hat) <= 1e-9 * max(1.0, sigma_hat):
-            # degenerate crossing of the pole at k = sigma_hat, not a level
-            continue
+    levels = []
+    m = 1 if sigma_hat < 2.0 / L else 2
+    while True:
+        lo = math.sqrt(sigma_hat * (2.0 / L - sigma_hat)) if m == 1 else (m - 1) * math.pi / L
+        k = _bisect(g, lo, m * math.pi / L)
+        if k > k_max:
+            return levels
         res = g(k)
         if abs(res) > ROOT_RESIDUAL_TOL * (1 + sigma_hat ** 2 + k ** 2):
             raise ArithmeticError(f"root residual too large at k={k}: {res:.3e}")
-        out.append(k)
-    return sorted(out)
+        levels.append((k, res))
+        m += 1
+
+
+def interval_positive_roots(sigma_hat: float, L: float, k_max: float) -> list[float]:
+    """All positive roots k <= k_max of the interval level condition, ascending,
+    one bisection per phase branch; valid for every sigma_hat > 0."""
+    return [k for k, _ in _levels(sigma_hat, L, k_max)]
 
 
 @dataclass(frozen=True)
 class Interval1DSpectrum:
     """Spectrum of the interval operator with equal Robin ends: the one
-    negative level -kappa**2 and the positive levels k**2."""
+    negative level -kappa**2 and the positive levels k**2, each with the
+    residual of its level condition."""
 
     kappa: float
     positive_roots: tuple[float, ...]
+    kappa_residual: float
+    root_residuals: tuple[float, ...]
 
 
 def interval_spectrum(sigma_hat: float, L: float, k_max: float) -> Interval1DSpectrum:
@@ -172,6 +170,6 @@ def interval_spectrum(sigma_hat: float, L: float, k_max: float) -> Interval1DSpe
             "interval spectrum only assembled for sigma_hat <= 2/L "
             "(a second negative level exists otherwise)"
         )
-    kappa = interval_ground_kappa(sigma_hat, L)
-    roots = interval_positive_roots(sigma_hat, L, k_max)
-    return Interval1DSpectrum(kappa=kappa, positive_roots=tuple(roots))
+    kappa, kappa_res = _ground(sigma_hat, L)
+    roots, residuals = tuple(zip(*_levels(sigma_hat, L, k_max))) or ((), ())
+    return Interval1DSpectrum(kappa, roots, kappa_res, residuals)

@@ -16,19 +16,12 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache, partial
 from pathlib import Path
 
 from . import __version__
-from .analytic1d import (
-    constant_reference,
-    interval_spectrum,
-    kappa_residual,
-    root_function,
-    root_scan_brackets,
-)
+from .analytic1d import constant_reference, interval_spectrum
 from .analysis import decay_fit, richardson
 from .certify import (
     bound_state_certificate,
@@ -62,7 +55,8 @@ EXIT_CODES = (
 
 SWEEP_BUDGET_BOUNDS = 10_000
 SWEEP_BUDGET_SOLVE = 100
-ROOTS1D_BUDGET = 1_000_000  # root-scan brackets, about 3 us each
+ROOTS1D_BUDGET = 80_000  # interval levels, about 40 us each
+CERTIFY_BUDGET = 450_000  # certificate steps n, about 7 us each on a step
 
 
 @dataclass(frozen=True)
@@ -208,14 +202,16 @@ def parse_config(raw, command: str = "run") -> Config:
     k = _integer(solver.get("k", 1), "solver.k")
     _require(k < dim - 1, "solver.k", f"below {dim - 1} (coarsest dimension - 1)", k)
     certify = _check_keys(raw.get("certify", {}), {"n_max"}, "certify")
+    n_max = _integer(certify.get("n_max", 40), "certify.n_max")
+    _require(n_max <= CERTIFY_BUDGET, "certify.n_max", f"at most {CERTIFY_BUDGET}", n_max)
     roots1d = _check_keys(raw.get("roots1d", {}), {"k_max"}, "roots1d")
     k_max = _positive(roots1d.get("k_max", 10.0), "roots1d.k_max")
     L = potential.support_bound()
     if "roots1d" in tasks and math.isfinite(L):
-        brackets = root_scan_brackets(L, k_max)
-        if brackets > ROOTS1D_BUDGET:
+        levels = k_max * L / math.pi
+        if levels > ROOTS1D_BUDGET:
             raise ConfigError(
-                f"roots1d.k_max {k_max!r} scans {brackets:.3g} brackets on L = {L!r}, "
+                f"roots1d.k_max {k_max!r} asks for {levels:.6g} levels on L = {L!r}, "
                 f"budget is {ROOTS1D_BUDGET}"
             )
     decay_keys = {"ray", "r_min", "r_max", "with_prefactor"}
@@ -247,7 +243,7 @@ def parse_config(raw, command: str = "run") -> Config:
         k=k,
         tol=_positive(solver.get("tol", 1e-8), "solver.tol"),
         tasks=tuple(tasks),
-        n_max=_integer(certify.get("n_max", 40), "certify.n_max"),
+        n_max=n_max,
         k_max=k_max,
         ray=_ray(decay.get("ray", [1.0, 1.0]), "decay.ray"),
         r_min=window["r_min"],
@@ -373,11 +369,10 @@ class Runner:
                 "roots1d only covers the regime sigma_hat <= 2/L"
             )
         spec = interval_spectrum(sigma_hat, L, self.cfg.k_max)
-        residual = abs(kappa_residual(spec.kappa, sigma_hat, L))
-        rows = [["0", "negative", _fmt(spec.kappa), _fmt(-spec.kappa**2), _fmt(residual)]]
-        for i, k in enumerate(spec.positive_roots, start=1):
-            residual = abs(root_function(k, sigma_hat, L))
-            rows.append([str(i), "positive", _fmt(k), _fmt(k**2), _fmt(residual)])
+        kappa = spec.kappa
+        rows = [["0", "negative", _fmt(kappa), _fmt(-kappa**2), _fmt(abs(spec.kappa_residual))]]
+        for i, (k, res) in enumerate(zip(spec.positive_roots, spec.root_residuals), start=1):
+            rows.append([str(i), "positive", _fmt(k), _fmt(k**2), _fmt(abs(res))])
         write_csv(
             self._record("roots1d.csv"),
             ["index", "kind", "k_or_kappa", "eigenvalue", "residual"],
@@ -483,6 +478,7 @@ class Runner:
         # the pool forks all its workers at once, so never more than can run
         workers = min(self.workers, len(points), os.cpu_count() or 1)
         if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(sweep_point, points))
         else:

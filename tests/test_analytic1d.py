@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from robinspectra.analytic1d import (
     constant_reference,
@@ -67,20 +68,53 @@ def test_positive_roots_residuals():
 
 
 def test_root_count_matches_brute_scan():
-    sigma_hat, L, K = 1.0, 1.0, 20 * math.pi
-    roots = interval_positive_roots(sigma_hat, L, K)
-    # brute-force sign scan on a fine grid
-    ks = np.linspace(1e-6, K, 200_001)
-    g = np.sin(ks * L) * (sigma_hat**2 - ks**2) - 2 * sigma_hat * ks * np.cos(ks * L)
-    brute = int(np.sum(np.sign(g[:-1]) * np.sign(g[1:]) < 0))
-    assert len(roots) == brute
-    assert abs(len(roots) - 20) <= 1
+    # sigma_hat*L = pi/2 puts level 1 on k = sigma_hat, where tan(kL) has its pole
+    for sigma_hat, L in [(1.0, 1.0), (math.pi / 2, 1.0)]:
+        K = 20 * math.pi
+        roots = interval_positive_roots(sigma_hat, L, K)
+        # brute-force sign scan on a fine grid
+        ks = np.linspace(1e-6, K, 200_001)
+        g = np.sin(ks * L) * (sigma_hat**2 - ks**2) - 2 * sigma_hat * ks * np.cos(ks * L)
+        brute = int(np.sum(np.sign(g[:-1]) * np.sign(g[1:]) < 0))
+        assert len(roots) == brute
+        assert abs(len(roots) - 20) <= 1
+
+
+def test_level_on_the_tangent_pole():
+    # sigma_hat = k = pi/2, L = 1: tan(kL) and 2*sigma_hat*k/(sigma_hat^2 - k^2) are
+    # both infinite, and the cross-multiplied condition holds exactly
+    roots = interval_positive_roots(math.pi / 2, 1.0, 10.0)
+    assert roots[0] == pytest.approx(math.pi / 2, rel=0, abs=1e-12)
+    assert len(roots) == 3
+
+
+@pytest.mark.parametrize("sigma_hat, L", [(0.3, 2.0), (1.0, 1.0), (math.pi / 2, 1.0), (5.0, 1.0)])
+def test_levels_match_finite_differences(sigma_hat, L):
+    # -u'' on [0, L] with u'(0) = -sigma_hat u(0), u'(L) = sigma_hat u(L), as
+    # the second-order 4,001-node scheme with half-weight end nodes; sigma_hat
+    # = 5 > 2/L has a second negative level, and its positive levels start on
+    # the second phase branch
+    n, K = 4001, 12.0
+    h = L / (n - 1)
+    w = np.ones(n)
+    w[[0, -1]] = 0.5
+    diag = np.full(n, 2.0) / h**2
+    diag[[0, -1]] = 1 / h**2 - sigma_hat / h
+    diag /= w
+    off = -1 / (h**2 * np.sqrt(w[:-1] * w[1:]))
+    lam = eigh_tridiagonal(diag, off, eigvals_only=True, select="v", select_range=(0, K**2))
+    roots = np.array(interval_positive_roots(sigma_hat, L, K))
+    assert len(roots) == len(lam)
+    np.testing.assert_allclose(roots**2, lam, rtol=1e-5)
 
 
 def test_interval_spectrum_structure():
     spec = interval_spectrum(1.0, 1.0, 10.0)
     assert spec.kappa == interval_ground_kappa(1.0, 1.0)
     assert spec.positive_roots == tuple(interval_positive_roots(1.0, 1.0, 10.0))
+    assert spec.kappa_residual == kappa_residual(spec.kappa, 1.0, 1.0)
+    assert spec.root_residuals == tuple(root_function(k, 1.0, 1.0) for k in spec.positive_roots)
+    assert interval_spectrum(1.0, 1.0, 1.0).positive_roots == ()  # below level 1
     with pytest.raises(ValueError):
         interval_spectrum(3.0, 1.0, 10.0)
 

@@ -129,6 +129,12 @@ def test_negative_count_bound():
         negative_count_bound(Constant(1.0))
 
 
+def test_negative_count_bound_continuous_through_the_tangent_pole():
+    # at sigma_hat*L = pi/2 interval level 1 sits on k = sigma_hat, below kappa
+    counts = [negative_count_bound(Step(math.pi / 2 * f, 1)) for f in (1 - 1e-3, 1, 1 + 1e-3)]
+    assert counts == [2, 2, 2]
+
+
 def test_negative_count_bound_monotone_in_L():
     sigma_hat = 0.5
     counts = [negative_count_bound(Step(sigma_hat, L)) for L in (0.5, 1, 2, 4)]

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import math
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from robinspectra import cli
-from robinspectra.cli import main, parse_config
+from robinspectra.cli import CERTIFY_BUDGET, ROOTS1D_BUDGET, main, parse_config
 from robinspectra.discretize import OuterBC
 from robinspectra.eigensolve import lowest_eigenpairs
 from robinspectra.errors import (
@@ -101,6 +102,7 @@ REJECTIONS = [
     lambda c: c.update(certify={"n_max": 2.5}),
     lambda c: c.update(certify={"n_max": "ten"}),
     lambda c: c.update(certify={"n_max": True}),
+    lambda c: c.update(certify={"n_max": CERTIFY_BUDGET + 1}),  # over the step budget
     lambda c: c.update(roots1d={"k_max": 0}),
     lambda c: c.update(roots1d={"k_max": -3.0}),
     lambda c: c.update(roots1d={"k_max": "ten"}),
@@ -126,8 +128,8 @@ REJECTIONS = [
     lambda c: c.update(output_dir=5),
     lambda c: c["solver"].update(k=True),
     lambda c: c["grid"].update(h=1e-320),  # R/h overflows a float
-    # a root scan over the bracket budget
-    lambda c: c.update(tasks=["roots1d"], roots1d={"k_max": 1e9}),
+    # interval levels over the level budget (the potential has L = 1)
+    lambda c: c.update(tasks=["roots1d"], roots1d={"k_max": math.pi * (ROOTS1D_BUDGET + 1)}),
     lambda c: c.update(tasks=["roots1d"], roots1d={"k_max": 1e308}),
 ]
 
@@ -149,6 +151,13 @@ def test_main_rejections_exit_code(tmp_path, capsys):
         path.write_text(json.dumps(cfg, allow_nan=True))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2, i
         assert capsys.readouterr().err.startswith("config error: "), i
+
+
+def test_budgets_count_levels_and_certificate_steps():
+    # the roots1d budget counts interval levels k_max*L/pi, not scan brackets
+    cfg = base_config(tasks=["roots1d"], roots1d={"k_max": math.pi * ROOTS1D_BUDGET})
+    assert parse_config(cfg).k_max == math.pi * ROOTS1D_BUDGET
+    assert parse_config(base_config(certify={"n_max": CERTIFY_BUDGET})).n_max == CERTIFY_BUDGET
 
 
 def test_h_list_ratio_two_accepted():
@@ -390,7 +399,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return sizes
 
 
@@ -506,11 +515,13 @@ def test_entry_point_defaults_blas_to_one_thread(preset):
 
 
 def test_cli_imports_neither_scipy_integrate_nor_interpolate():
-    # the solver needs neither, and together they were most of a fresh import
+    # the solver needs neither, and together they were most of a fresh import;
+    # multiprocessing loads only when a sweep runs on more than one worker
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     code = (
         "import sys, robinspectra.cli; "
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate') if m in sys.modules))"
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate', 'multiprocessing') "
+        "if m in sys.modules))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
