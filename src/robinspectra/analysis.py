@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .discretize import DiscreteForm
-from .errors import NoAsymptoticRegimeError, UnderflowWindowError
+from .errors import InapplicableError, NoAsymptoticRegimeError, UnderflowWindowError
 
 DEFAULT_N_RADII = 40
 UNDERFLOW_FLOOR = 1e-14
@@ -30,6 +30,7 @@ class DecayFit:
     slope_stderr: float
     radii: tuple[float, ...] = field(repr=False)  # the sampled profile
     abs_phi: tuple[float, ...] = field(repr=False)
+    model: tuple[float, ...] = field(repr=False)  # the fitted profile at radii
 
 
 def _default_radii(ray: np.ndarray, h: float, r_min: float, r_max: float) -> np.ndarray:
@@ -63,10 +64,10 @@ def decay_fit(
 
     Fits log|v| (plus half log r when the 1/sqrt(r) prefactor is modelled)
     against r; off-node points are obtained by bilinear interpolation.  The
-    result carries the sampled radii and |v| values it was fitted to.
+    result carries the sampled radii, |v| and the fitted model at each radius.
     """
     if E >= 0:
-        raise ValueError("decay fit requires a negative energy")
+        raise InapplicableError("no negative ground energy; nothing decays")
     ray = np.asarray(ray, dtype=np.float64)
     nrm = np.linalg.norm(ray)
     if nrm == 0 or ray[0] < 0 or ray[1] < 0:
@@ -106,17 +107,20 @@ def decay_fit(
         ylog = ylog + 0.5 * np.log(radii)
 
     slope, intercept, stderr, r2 = _linfit(radii, ylog)
+    rs, c, rate = radii.tolist(), math.exp(intercept), -math.sqrt(abs(E))
+    model = [c * math.exp(rate * r) / (math.sqrt(r) if with_prefactor else 1.0) for r in rs]
     return DecayFit(
         ray=(float(ray[0]), float(ray[1])),
         r_window=(float(r_min), float(r_max)),
         slope=slope,
         intercept=intercept,
         r_squared=r2,
-        predicted_rate=-math.sqrt(abs(E)),
+        predicted_rate=rate,
         with_prefactor=with_prefactor,
         slope_stderr=stderr,
-        radii=tuple(radii.tolist()),
+        radii=tuple(rs),
         abs_phi=tuple(absvals.tolist()),
+        model=tuple(model),
     )
 
 

@@ -27,6 +27,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
+from .errors import InapplicableError
+
 KAPPA_RESIDUAL_TOL = 1e-12
 ROOT_RESIDUAL_TOL = 1e-10
 
@@ -43,7 +45,7 @@ class ConstantReference:
 
 def constant_reference(sigma: float) -> ConstantReference:
     if sigma <= 0:
-        raise ValueError("sigma must be positive")
+        raise InapplicableError("the constant reference needs sigma > 0")
 
     def ground_state(x: float, y: float) -> float:
         return 2 * sigma * math.exp(-sigma * (x + y))
@@ -130,16 +132,17 @@ def _levels(sigma_hat: float, L: float, k_max: float) -> list[tuple[float, float
 
     levels = []
     m = 1 if sigma_hat < 2.0 / L else 2
-    while True:
-        lo = math.sqrt(sigma_hat * (2.0 / L - sigma_hat)) if m == 1 else (m - 1) * math.pi / L
+    lo = math.sqrt(sigma_hat * (2.0 / L - sigma_hat)) if m == 1 else math.pi / L
+    while lo < k_max:  # level m lies above lo
         k = _bisect(g, lo, m * math.pi / L)
         if k > k_max:
-            return levels
+            break
         res = g(k)
         if abs(res) > ROOT_RESIDUAL_TOL * (1 + sigma_hat ** 2 + k ** 2):
             raise ArithmeticError(f"root residual too large at k={k}: {res:.3e}")
         levels.append((k, res))
-        m += 1
+        lo, m = m * math.pi / L, m + 1
+    return levels
 
 
 def interval_positive_roots(sigma_hat: float, L: float, k_max: float) -> list[float]:
@@ -163,13 +166,13 @@ class Interval1DSpectrum:
 def interval_spectrum(sigma_hat: float, L: float, k_max: float) -> Interval1DSpectrum:
     """Assemble the full interval spectrum up to level k_max.
 
-    Requires sigma_hat <= 2/L so that the negative part is exactly {-kappa^2}.
+    Applies only for 0 < sigma_hat <= 2/L, where the negative part is exactly
+    {-kappa^2}; this also rejects the zero potential and an infinite L.
     """
-    if sigma_hat > 2.0 / L:
-        raise ValueError(
-            "interval spectrum only assembled for sigma_hat <= 2/L "
-            "(a second negative level exists otherwise)"
-        )
+    if L <= 0 < sigma_hat:
+        raise ValueError("L must be positive")
+    if not 0 < sigma_hat <= 2.0 / L:
+        raise InapplicableError(f"interval spectrum needs 0 < sigma_hat <= 2/L, {sigma_hat=} {L=}")
     kappa, kappa_res = _ground(sigma_hat, L)
     roots, residuals = tuple(zip(*_levels(sigma_hat, L, k_max))) or ((), ())
     return Interval1DSpectrum(kappa, roots, kappa_res, residuals)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .analytic1d import interval_ground_kappa, interval_positive_roots
+from .analytic1d import interval_spectrum
 from .errors import (
     EssentialBottomNotZeroError,
     InapplicableError,
@@ -123,14 +123,14 @@ def negative_count_bound(p: BoundaryPotential) -> Optional[int]:
     if not math.isfinite(L):
         raise InapplicableError("counting bound requires compact support")
     sigma_hat = p.ess_sup()
-    if sigma_hat == 0:
+    if sigma_hat == 0:  # nothing to bound, and L = 0
         return None
-    if sigma_hat > 2.0 / L:
+    try:  # kappa < 2.4/L < pi/L in the regime, so only level 1 can lie below it
+        spec = interval_spectrum(sigma_hat, L, k_max=math.pi / L)
+    except InapplicableError:
         return None
-    kappa = interval_ground_kappa(sigma_hat, L)
-    roots = interval_positive_roots(sigma_hat, L, k_max=kappa)
-    below = [k for k in roots if k < kappa * (1 - 1e-12)]
-    return 1 + len(below)
+    # level 1 is a positive root up to pi/L, or k = 0 (the eigenvalue 0) at sigma_hat*L = 2
+    return 1 + sum(k < spec.kappa * (1 - 1e-12) for k in spec.positive_roots or (0.0,))
 
 
 def full_report(p: BoundaryPotential, n_max: int) -> BoundsReport:

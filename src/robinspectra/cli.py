@@ -56,7 +56,7 @@ EXIT_CODES = (
 SWEEP_BUDGET_BOUNDS = 10_000
 SWEEP_BUDGET_SOLVE = 100
 ROOTS1D_BUDGET = 80_000  # interval levels, about 40 us each
-CERTIFY_BUDGET = 450_000  # certificate steps n, about 7 us each on a step
+CERTIFY_BUDGET = 450_000  # certificate steps n times cells of sigma, about 7 us each
 
 
 @dataclass(frozen=True)
@@ -203,7 +203,10 @@ def parse_config(raw, command: str = "run") -> Config:
     _require(k < dim - 1, "solver.k", f"below {dim - 1} (coarsest dimension - 1)", k)
     certify = _check_keys(raw.get("certify", {}), {"n_max"}, "certify")
     n_max = _integer(certify.get("n_max", 40), "certify.n_max")
-    _require(n_max <= CERTIFY_BUDGET, "certify.n_max", f"at most {CERTIFY_BUDGET}", n_max)
+    if {"bounds", "certify"} & set(tasks):
+        cells = len(potential.cells())
+        cap = CERTIFY_BUDGET // cells
+        _require(n_max <= cap, "certify.n_max", f"at most {cap} for {cells} cells of sigma", n_max)
     roots1d = _check_keys(raw.get("roots1d", {}), {"k_max"}, "roots1d")
     k_max = _positive(roots1d.get("k_max", 10.0), "roots1d.k_max")
     L = potential.support_bound()
@@ -313,10 +316,8 @@ class Runner:
 
     def task_reference(self) -> None:
         p = self.cfg.potential
-        if not isinstance(p, Constant) or p.sigma <= 0:
-            raise InapplicableError(
-                "reference task needs a constant positive potential"
-            )
+        if not isinstance(p, Constant):
+            raise InapplicableError("reference task needs a constant potential")
         ref = constant_reference(p.sigma)
         write_json(
             self._record("reference.json"),
@@ -360,15 +361,7 @@ class Runner:
 
     def task_roots1d(self) -> None:
         p = self.cfg.potential
-        L = p.support_bound()
-        sigma_hat = p.ess_sup()
-        if not math.isfinite(L) or sigma_hat == 0:
-            raise InapplicableError("roots1d needs a nonzero compactly supported potential")
-        if sigma_hat > 2.0 / L:
-            raise InapplicableError(
-                "roots1d only covers the regime sigma_hat <= 2/L"
-            )
-        spec = interval_spectrum(sigma_hat, L, self.cfg.k_max)
+        spec = interval_spectrum(p.ess_sup(), p.support_bound(), self.cfg.k_max)
         kappa = spec.kappa
         rows = [["0", "negative", _fmt(kappa), _fmt(-kappa**2), _fmt(abs(spec.kappa_residual))]]
         for i, (k, res) in enumerate(zip(spec.positive_roots, spec.root_residuals), start=1):
@@ -437,23 +430,13 @@ class Runner:
         bc = OuterBC.DIRICHLET if OuterBC.DIRICHLET in cfg.bcs else cfg.bcs[0]
         res = self._solve_one(min(cfg.hs), bc)
         E = float(res.eigenvalues[0])
-        if E >= 0:
-            raise InapplicableError("no negative ground energy; nothing decays")
-        v = res.nodal(0)
         try:
             fit = decay_fit(
-                res.form, v, E, cfg.ray, cfg.r_min, cfg.r_max, cfg.with_prefactor
+                res.form, res.nodal(0), E, cfg.ray, cfg.r_min, cfg.r_max, cfg.with_prefactor
             )
         except ValueError as exc:
             raise ConfigError(f"decay window rejected: {exc}") from exc
-
-        c = math.exp(fit.intercept)
-        rows = []
-        for r, phi in zip(fit.radii, fit.abs_phi):
-            model = c * math.exp(fit.predicted_rate * r)
-            if fit.with_prefactor:
-                model /= math.sqrt(r)
-            rows.append([_fmt(r), _fmt(phi), _fmt(model)])
+        rows = [list(map(_fmt, row)) for row in zip(fit.radii, fit.abs_phi, fit.model)]
         write_csv(self._record("decay.csv"), ["r", "abs_phi", "model"], rows)
         write_json(
             self._record("decay_fit.json"),
@@ -480,7 +463,7 @@ class Runner:
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(sweep_point, points))
+                rows = list(pool.map(sweep_point, points, chunksize=-(-len(points) // workers)))
         else:
             rows = [sweep_point(point) for point in points]
         write_csv(
@@ -533,7 +516,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="experiment config file")
         sp.add_argument("--out", default=None, help="output directory override")
-        sp.add_argument("--workers", type=_workers, default=1, help="sweep processes, at least 1")
+        if name in ("run", "sweep"):
+            sp.add_argument("--workers", type=_workers, default=1, help="sweep processes, >= 1")
     return parser
 
 
@@ -541,7 +525,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.command)
-        Runner(cfg, args.out or cfg.output_dir, workers=args.workers).run()
+        Runner(cfg, args.out or cfg.output_dir, workers=getattr(args, "workers", 1)).run()
     except RobinSpectraError as exc:
         code, prefix = next(
             (code, prefix) for types, code, prefix in EXIT_CODES if isinstance(exc, types)

@@ -7,7 +7,7 @@ from scipy.interpolate import RegularGridInterpolator
 from robinspectra.analysis import decay_fit, l2_distance, richardson
 from robinspectra.discretize import Grid, OuterBC, assemble, inject_function
 from robinspectra.eigensolve import lowest_eigenpairs
-from robinspectra.errors import NoAsymptoticRegimeError, UnderflowWindowError
+from robinspectra.errors import InapplicableError, NoAsymptoticRegimeError, UnderflowWindowError
 from robinspectra.potential import Constant, Step
 
 pytestmark = pytest.mark.filterwarnings("ignore:truncation radius")
@@ -68,7 +68,7 @@ def test_decay_fit_window_validation(analytic_state):
         decay_fit(F, v, -2.0, (0, 0), 3.0, 9.0)
     with pytest.raises(ValueError):
         decay_fit(F, v, -2.0, (1, -1), 3.0, 9.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InapplicableError):
         decay_fit(F, v, 1.0, (1, 1), 3.0, 9.0)  # positive energy
     Fs = assemble(Step(1, 1), Grid(12, 0.1), OuterBC.DIRICHLET)
     with pytest.raises(ValueError, match="support_bound"):

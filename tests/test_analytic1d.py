@@ -12,6 +12,7 @@ from robinspectra.analytic1d import (
     kappa_residual,
     root_function,
 )
+from robinspectra.errors import InapplicableError
 
 
 def test_constant_reference():
@@ -115,6 +116,6 @@ def test_interval_spectrum_structure():
     assert spec.kappa_residual == kappa_residual(spec.kappa, 1.0, 1.0)
     assert spec.root_residuals == tuple(root_function(k, 1.0, 1.0) for k in spec.positive_roots)
     assert interval_spectrum(1.0, 1.0, 1.0).positive_roots == ()  # below level 1
-    with pytest.raises(ValueError):
+    with pytest.raises(InapplicableError):
         interval_spectrum(3.0, 1.0, 10.0)
 

@@ -135,6 +135,15 @@ def test_negative_count_bound_continuous_through_the_tangent_pole():
     assert counts == [2, 2, 2]
 
 
+@pytest.mark.parametrize("L", [0.5, 1.0, 3.0])
+def test_negative_count_bound_continuous_at_the_regime_edge(L):
+    # at sigma_hat*L = 2 interval level 1 reaches k = 0, the eigenvalue 0 < kappa**2
+    sigma_hat = 2.0 / L
+    counts = [negative_count_bound(Step(sigma_hat * f, L)) for f in (1 - 1e-9, 1 - 1e-15, 1)]
+    assert counts == [2, 2, 2]
+    assert negative_count_bound(Step(sigma_hat * (1 + 1e-15), L)) is None
+
+
 def test_negative_count_bound_monotone_in_L():
     sigma_hat = 0.5
     counts = [negative_count_bound(Step(sigma_hat, L)) for L in (0.5, 1, 2, 4)]

@@ -24,6 +24,9 @@ from robinspectra.errors import (
 )
 from robinspectra.potential import Constant, PiecewiseConstant, Step, Tabulated
 
+# 1,000 cells of sigma, each costing the certificate one closed-form term per step
+TABULATED = {"kind": "tabulated", "samples": [1e-12] * 1000, "h_s": 0.01}
+
 pytestmark = pytest.mark.filterwarnings("ignore:truncation radius")
 
 
@@ -103,6 +106,7 @@ REJECTIONS = [
     lambda c: c.update(certify={"n_max": "ten"}),
     lambda c: c.update(certify={"n_max": True}),
     lambda c: c.update(certify={"n_max": CERTIFY_BUDGET + 1}),  # over the step budget
+    lambda c: c.update(potential=TABULATED, certify={"n_max": CERTIFY_BUDGET // 1000 + 1}),
     lambda c: c.update(roots1d={"k_max": 0}),
     lambda c: c.update(roots1d={"k_max": -3.0}),
     lambda c: c.update(roots1d={"k_max": "ten"}),
@@ -160,6 +164,19 @@ def test_budgets_count_levels_and_certificate_steps():
     assert parse_config(base_config(certify={"n_max": CERTIFY_BUDGET})).n_max == CERTIFY_BUDGET
 
 
+def test_certificate_budget_counts_steps_times_cells():
+    cap = CERTIFY_BUDGET // 1000
+    for task in ("bounds", "certify"):
+        cfg = base_config(potential=TABULATED, tasks=[task], certify={"n_max": cap})
+        assert parse_config(cfg).n_max == cap
+        cfg["certify"]["n_max"] = cap + 1
+        with pytest.raises(ConfigError, match="1000 cells"):
+            parse_config(cfg)
+    # only the tasks that run the certificate are capped
+    cfg = base_config(potential=TABULATED, tasks=["solve"], certify={"n_max": cap + 1})
+    assert parse_config(cfg).n_max == cap + 1
+
+
 def test_h_list_ratio_two_accepted():
     parse_config(base_config(grid={"R": 6.0, "h": [0.4, 0.2, 0.1]}))
 
@@ -207,6 +224,24 @@ def test_main_inapplicable_exit_code(tmp_path):
     cfg = base_config(tasks=["reference"])
     path = write_cfg(tmp_path, cfg)
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 4
+
+
+@pytest.mark.parametrize(
+    "task, potential",
+    [
+        ("roots1d", {"kind": "constant", "sigma": 1.0}),  # infinite support
+        ("roots1d", {"kind": "step", "sigma": 0.0, "L": 1.0}),  # zero sigma
+        ("roots1d", {"kind": "step", "sigma": 3.0, "L": 1.0}),  # sigma_hat > 2/L
+        ("decay", {"kind": "constant", "sigma": 1.0}),  # infinite support
+        ("decay", {"kind": "step", "sigma": -1.0, "L": 1.0}),  # no negative energy
+        ("reference", {"kind": "step", "sigma": 1.0, "L": 1.0}),  # not a constant
+        ("reference", {"kind": "constant", "sigma": -1.0}),  # sigma <= 0
+    ],
+)
+def test_inapplicable_requests_exit_4(tmp_path, capsys, task, potential):
+    path = write_cfg(tmp_path, base_config(potential=potential))
+    assert main([task, "--config", str(path), "--out", str(tmp_path / "o")]) == 4
+    assert capsys.readouterr().err.startswith("inapplicable request: ")
 
 
 @pytest.mark.parametrize(
@@ -396,7 +431,7 @@ def pool_sizes(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
@@ -421,6 +456,18 @@ def test_workers_below_one_rejected(tmp_path, pool_sizes, workers):
         main(["run", "--config", str(path), "--out", str(tmp_path / "o"), "--workers", workers])
     assert exc.value.code == 2
     assert pool_sizes == []
+
+
+def test_workers_only_on_run_and_sweep(tmp_path, monkeypatch, pool_sizes):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    path = write_cfg(tmp_path, base_config(sweep={"sigma": [0.5, 1.0], "L": [1.0]}))
+    out = ["--config", str(path), "--out", str(tmp_path / "o")]
+    assert main(["sweep", *out, "--workers", "2"]) == 0
+    assert pool_sizes == [2]
+    for command in ("bounds", "solve"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *out, "--workers", "2"])
+        assert exc.value.code == 2
 
 
 def test_sweep_solves_for_the_ground_energy_only(tmp_path, monkeypatch):
