@@ -2,12 +2,14 @@
 """Run every shipped preset (configs/*.cfg) into out/<preset>/ of the repo.
 
 The output paths are absolute, so the committed outputs are regenerated in
-place from any working directory.
+place from any working directory.  `main` comes from `robinspectra.__main__`,
+which pins BLAS to one thread before numpy loads, so the files are the ones
+`python -m robinspectra run` writes.
 """
 import pathlib
 import sys
 
-from robinspectra.cli import main
+from robinspectra.__main__ import main
 
 HERE = pathlib.Path(__file__).resolve().parent.parent
 

@@ -68,11 +68,13 @@ def ground_energy_sandwich(p: BoundaryPotential) -> tuple[float, float]:
 def ess_spectrum_class(p: BoundaryPotential) -> tuple[EssClass, float]:
     """Classify the essential spectrum by sigma's tail and give its bottom.
 
-    The tail is the value on an unbounded cell, else 0.  A positive tail
-    binds one particle to the boundary while the other escapes, so the
-    essential spectrum starts at -tail**2; otherwise it starts at 0.
+    The tail is the value on the last cell if that is unbounded, else 0.
+    A positive tail binds one particle to the boundary while the other
+    escapes, so the essential spectrum starts at -tail**2; otherwise it
+    starts at 0.
     """
-    tail = next((v for _, hi, v in p.cells() if math.isinf(hi)), 0.0)
+    _, hi, v = p.cells[-1]
+    tail = v if math.isinf(hi) else 0.0
     if tail > 0:
         return (EssClass.CONSTANT_POSITIVE, -tail ** 2)
     return (EssClass.NON_POSITIVE_TAIL, 0.0)

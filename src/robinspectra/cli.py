@@ -204,7 +204,7 @@ def parse_config(raw, command: str = "run") -> Config:
     certify = _check_keys(raw.get("certify", {}), {"n_max"}, "certify")
     n_max = _integer(certify.get("n_max", 40), "certify.n_max")
     if {"bounds", "certify"} & set(tasks):
-        cells = len(potential.cells())
+        cells = len(potential.cells)
         cap = CERTIFY_BUDGET // cells
         _require(n_max <= cap, "certify.n_max", f"at most {cap} for {cells} cells of sigma", n_max)
     roots1d = _check_keys(raw.get("roots1d", {}), {"k_max"}, "roots1d")
@@ -315,14 +315,14 @@ class Runner:
     # ------------------------------------------------------------------ tasks
 
     def task_reference(self) -> None:
-        p = self.cfg.potential
-        if not isinstance(p, Constant):
+        _, hi, sigma = self.cfg.potential.cells[0]
+        if not math.isinf(hi):
             raise InapplicableError("reference task needs a constant potential")
-        ref = constant_reference(p.sigma)
+        ref = constant_reference(sigma)
         write_json(
             self._record("reference.json"),
             {
-                "sigma": p.sigma,
+                "sigma": sigma,
                 "ground_energy": ref.ground_energy,
                 "ess_bottom": ref.ess_bottom,
             },

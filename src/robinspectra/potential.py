@@ -1,10 +1,11 @@
 """Boundary interaction strength sigma(y) on the half-line.
 
-Every kind is an immutable list of cells: left-closed, right-open intervals
-[lo, hi) on which sigma is constant, with sigma = 0 beyond the last cell.
-A constant is the one unbounded cell [0, inf).  `BoundaryPotential` writes
-each functional of sigma once over the cells, as a closed form per cell; a
-kind only lists its cells.
+A potential is its cells: left-closed, right-open intervals [lo, hi) on
+which sigma is constant, contiguous from 0, with sigma = 0 beyond the last
+cell.  Only the last cell may be unbounded; a constant is the one cell
+[0, inf).  `BoundaryPotential` checks the cells once and writes each
+functional of sigma once over them, as a closed form per cell; `Constant`,
+`Step`, `PiecewiseConstant` and `Tabulated` only build the cells.
 """
 from __future__ import annotations
 
@@ -17,31 +18,45 @@ from scipy.special import gammainc, gammaincc, hyp1f1
 from .errors import NotIntegrableError
 
 
+@dataclass(frozen=True)
 class BoundaryPotential:
-    """Piecewise-constant boundary strength given by its cells."""
+    """Piecewise-constant boundary strength given by its cells (lo, hi, value)."""
 
-    def cells(self) -> list[tuple[float, float, float]]:
-        """Left-closed/right-open cells (lo, hi, value) covering the support."""
-        raise NotImplementedError
+    cells: tuple[tuple[float, float, float], ...]
+
+    def __post_init__(self):
+        cells = tuple((float(lo), float(hi), float(v)) for lo, hi, v in self.cells)
+        object.__setattr__(self, "cells", cells)
+        if not cells:
+            raise ValueError("need at least one cell")
+        edge = 0.0
+        for lo, hi, _ in cells:
+            if math.isinf(edge):
+                raise ValueError("only the last cell may be unbounded")
+            if lo != edge:
+                raise ValueError(f"cells must be contiguous from 0: {lo} follows {edge}")
+            if not hi > lo:
+                raise ValueError(f"cell [{lo}, {hi}) must have positive length")
+            edge = hi
 
     def eval(self, y: float | np.ndarray) -> float | np.ndarray:
         """sigma at y >= 0; y is a float, or an array of them sampled in one
-        sorted search over the cells' left edges."""
+        sorted search over the cells' right edges."""
         ys = np.asarray(y, dtype=float)
         if np.any(ys < 0):
             raise ValueError(f"boundary coordinate must be nonnegative, got {ys.min()}")
-        # the zero sentinel cell comes last; index -1 (no cell yet) picks it
-        lo, hi, v = np.array([*self.cells(), (math.inf, math.inf, 0.0)], dtype=float).T
-        k = np.searchsorted(lo, ys, side="right") - 1
-        out = np.where(ys < hi[k], v[k], 0.0)
+        _, hi, v = np.array(self.cells, dtype=float).T
+        # the cells are contiguous from 0, so y lies in the first cell with
+        # hi > y; index len(cells) (past the last cell) picks the appended 0
+        out = np.append(v, 0.0)[np.searchsorted(hi, ys, side="right")]
         return float(out) if out.ndim == 0 else out
 
     def ess_sup(self) -> float:
-        return max((abs(v) for _, _, v in self.cells()), default=0.0)
+        return max((abs(v) for _, _, v in self.cells), default=0.0)
 
     def support_bound(self) -> float:
         """Smallest grid-representable L with sigma = 0 beyond L (may be inf)."""
-        for lo, hi, v in reversed(self.cells()):
+        for lo, hi, v in reversed(self.cells):
             if v != 0:
                 return hi
         return 0.0
@@ -50,7 +65,7 @@ class BoundaryPotential:
         if math.isinf(self.support_bound()):
             raise NotIntegrableError("potential has infinite support")
         # zero cells are skipped: an unbounded zero cell would give 0 * inf
-        return sum((v * (hi - lo) for lo, hi, v in self.cells() if v != 0), 0.0)
+        return sum((v * (hi - lo) for lo, hi, v in self.cells if v != 0), 0.0)
 
     def weighted_integral(self, a: float) -> float:
         """Integral of sigma(y) * exp(-a*y) over the half-line, a > 0."""
@@ -58,7 +73,7 @@ class BoundaryPotential:
             raise ValueError("weight parameter must be positive")
         return sum(
             v * (math.exp(-a * lo) - math.exp(-a * hi)) / a
-            for lo, hi, v in self.cells()
+            for lo, hi, v in self.cells
         )
 
     def stretched_weighted_integral(self, eps: float) -> float:
@@ -68,7 +83,7 @@ class BoundaryPotential:
         if math.isinf(self.support_bound()):
             raise NotIntegrableError("potential has infinite support")
         a, total = 1.0 / eps, 0.0
-        for lo, hi, v in self.cells():
+        for lo, hi, v in self.cells:
             if v == 0:
                 continue
             if lo**eps > a:  # P ~ 1 on the whole cell: a difference of Q = 1 - P
@@ -88,76 +103,30 @@ def _stretched_head(y: float, eps: float) -> float:
     return math.gamma(1 + a) * gammainc(a, x)
 
 
-@dataclass(frozen=True)
-class Constant(BoundaryPotential):
-    sigma: float
-
-    def cells(self):
-        return [(0.0, math.inf, self.sigma)]
+def Constant(sigma: float) -> BoundaryPotential:
+    return BoundaryPotential(((0.0, math.inf, sigma),))
 
 
-@dataclass(frozen=True)
-class Step(BoundaryPotential):
-    sigma: float
-    L: float
-
-    def __post_init__(self):
-        if self.L <= 0:
-            raise ValueError("step range L must be positive")
-
-    def cells(self):
-        return [(0.0, self.L, self.sigma)]
+def Step(sigma: float, L: float) -> BoundaryPotential:
+    return BoundaryPotential(((0.0, L, sigma),))
 
 
-@dataclass(frozen=True)
-class PiecewiseConstant(BoundaryPotential):
-    breakpoints: tuple[float, ...]
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "breakpoints", tuple(self.breakpoints))
-        object.__setattr__(self, "values", tuple(self.values))
-        if len(self.breakpoints) != len(self.values):
-            raise ValueError("breakpoints and values must have equal length")
-        if not self.breakpoints:
-            raise ValueError("need at least one cell")
-        prev = 0.0
-        for b in self.breakpoints:
-            if b <= prev:
-                raise ValueError("breakpoints must be strictly ascending and positive")
-            prev = b
-
-    def cells(self):
-        out = []
-        lo = 0.0
-        for hi, v in zip(self.breakpoints, self.values):
-            out.append((lo, hi, float(v)))
-            lo = hi
-        return out
+def PiecewiseConstant(breakpoints, values) -> BoundaryPotential:
+    """Value values[i] on [breakpoints[i-1], breakpoints[i]), from 0."""
+    if len(breakpoints) != len(values):
+        raise ValueError("breakpoints and values must have equal length")
+    return BoundaryPotential(tuple(zip((0.0, *breakpoints), breakpoints, values)))
 
 
-@dataclass(frozen=True)
-class Tabulated(BoundaryPotential):
+def Tabulated(samples, h_s: float) -> BoundaryPotential:
     """Samples on a uniform grid y_k = k * h_s, zero beyond the last sample.
 
     Sample k holds on the cell [k*h_s, (k+1)*h_s), both pointwise and in the
     integral functionals, so the plain integral is exactly h_s times the
     sample sum and sigma vanishes from support_bound() on.
     """
-
-    samples: tuple[float, ...]
-    h_s: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(float(s) for s in self.samples))
-        if self.h_s <= 0:
-            raise ValueError("sample spacing must be positive")
-        if not self.samples:
-            raise ValueError("need at least one sample")
-
-    def cells(self):
-        return [
-            (k * self.h_s, (k + 1) * self.h_s, s)
-            for k, s in enumerate(self.samples)
-        ]
-
+    if not math.isfinite(len(samples) * h_s):
+        raise ValueError(f"{len(samples)} samples of spacing {h_s} overflow the half-line")
+    return BoundaryPotential(
+        tuple((k * h_s, (k + 1) * h_s, s) for k, s in enumerate(samples))
+    )

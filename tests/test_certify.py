@@ -51,7 +51,7 @@ class _HeavierThanSup(BoundaryPotential):
 
 def test_sandwich_invariant_violation_raises():
     with pytest.raises(RobinSpectraError, match="exceeds upper bound"):
-        ground_energy_sandwich(_HeavierThanSup())
+        ground_energy_sandwich(_HeavierThanSup(((0.0, 1.0, 1.0),)))
 
 
 def test_sandwich_step():
@@ -105,7 +105,7 @@ def test_certificate_quadrature_reproduction():
     # independent quadrature of both terms
     eps = 1.0 / n
     boundary = 0.0
-    for lo, hi, v in p.cells():
+    for lo, hi, v in p.cells:
         val, _ = quad(lambda y: math.exp(-(y**eps)), lo, hi, epsabs=1e-13)
         boundary += v * val
     assert q == pytest.approx(math.pi * eps / 8 - 2 * boundary, abs=1e-8)

@@ -135,6 +135,8 @@ REJECTIONS = [
     # interval levels over the level budget (the potential has L = 1)
     lambda c: c.update(tasks=["roots1d"], roots1d={"k_max": math.pi * (ROOTS1D_BUDGET + 1)}),
     lambda c: c.update(tasks=["roots1d"], roots1d={"k_max": 1e308}),
+    # the last sample's right edge (k + 1)*h_s overflows to inf
+    lambda c: c.update(potential={"kind": "tabulated", "samples": [1.0, 1.0], "h_s": 1e308}),
 ]
 
 
@@ -236,6 +238,7 @@ def test_main_inapplicable_exit_code(tmp_path):
         ("decay", {"kind": "step", "sigma": -1.0, "L": 1.0}),  # no negative energy
         ("reference", {"kind": "step", "sigma": 1.0, "L": 1.0}),  # not a constant
         ("reference", {"kind": "constant", "sigma": -1.0}),  # sigma <= 0
+        ("reference", {"kind": "piecewise", "breaks": [1.0], "values": [1.0]}),  # one bounded cell
     ],
 )
 def test_inapplicable_requests_exit_4(tmp_path, capsys, task, potential):

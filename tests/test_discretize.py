@@ -53,24 +53,29 @@ def test_form_matches_trapezoid_quadrature(p, bc):
     assert float(w @ (F.matrix @ w)) == pytest.approx(q, rel=1e-12)
 
 
-# One potential of each kind; nodes fall on cell edges (y = 1.0, 0.5, 0.3).
+# One potential of each kind, under the name of the constructor that built
+# it (the test id); nodes fall on cell edges (y = 1.0, 0.5, 0.3).
 EVERY_KIND = [
-    Constant(0.8),
-    Constant(0.0),
-    Step(1.3, 1.0),
-    PiecewiseConstant((0.5, 1.0, 2.0), (1.0, 0.0, -0.4)),
-    Tabulated(tuple(np.random.default_rng(5).uniform(-1, 2, 1000)), 0.003),
+    ("Constant", Constant(0.8)),
+    ("Constant", Constant(0.0)),
+    ("Step", Step(1.3, 1.0)),
+    ("PiecewiseConstant", PiecewiseConstant((0.5, 1.0, 2.0), (1.0, 0.0, -0.4))),
+    ("Tabulated", Tabulated(tuple(np.random.default_rng(5).uniform(-1, 2, 1000)), 0.003)),
 ]
 
 
+def _sup_case(kind, p, h):
+    return pytest.param(p, h, id=f"{kind}({p.ess_sup():.16g})-{h}")
+
+
 @pytest.mark.parametrize("bc", list(OuterBC))
-@pytest.mark.parametrize("p", EVERY_KIND, ids=lambda p: type(p).__name__)
+@pytest.mark.parametrize("p", [pytest.param(p, id=kind) for kind, p in EVERY_KIND])
 def test_robin_sampling_matches_per_node_scan(p, bc):
     g = Grid(4, 0.1)
     F = assemble(p, g, bc)
     # the per-node linear scan over [lo, hi) cells that the sorted search replaced
     scan = [
-        next((v for lo, hi, v in p.cells() if lo <= y < hi), 0.0)
+        next((v for lo, hi, v in p.cells if lo <= y < hi), 0.0)
         for y in map(float, g.coords(bc))
     ]
     expected = np.array([-2.0 * s / g.h for s in scan])
@@ -82,14 +87,13 @@ def test_robin_sampling_matches_per_node_scan(p, bc):
 @pytest.mark.parametrize(
     "p, h",
     [
-        *((p, 0.1) for p in EVERY_KIND),
+        *(_sup_case(kind, p, 0.1) for kind, p in EVERY_KIND),
         # sigma(0) = 1/h: the corner's diagonal 4/h^2 - 4*sigma/h cancels, to
         # rounding at h = 0.1 and to an exact 0 (not stored) at h = 0.25,
         # where sigma is 1/h as the rounded T's diagonal gives it
-        (Constant(10.0), 0.1),
-        (Constant(3.999999999999999), 0.25),
+        _sup_case("Constant", Constant(10.0), 0.1),
+        _sup_case("Constant", Constant(3.999999999999999), 0.25),
     ],
-    ids=lambda v: f"{type(v).__name__}({v.ess_sup():.16g})" if hasattr(v, "ess_sup") else None,
 )
 def test_matrix_matches_kronsum_reference(p, h, bc):
     F = assemble(p, Grid(4, h), bc)

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from robinspectra.errors import NotIntegrableError
 from robinspectra.potential import (
+    BoundaryPotential,
     Constant,
     PiecewiseConstant,
     Step,
@@ -106,7 +107,7 @@ def test_stretched_weighted_integral_matches_quad(name, n):
     p, eps = STRETCHED_CASES[name], 1.0 / n
     ref = sum(
         v * quad(lambda y: math.exp(-(y**eps)), lo, hi, epsabs=1e-13, epsrel=0)[0]
-        for lo, hi, v in p.cells()
+        for lo, hi, v in p.cells
     )
     assert p.stretched_weighted_integral(eps) == pytest.approx(ref, rel=0, abs=1e-12)
 
@@ -130,6 +131,18 @@ def test_validation():
         PiecewiseConstant((2, 1), (1, 1))
     with pytest.raises(ValueError):
         Tabulated([], 0.1)
+    bad_cells = {
+        "at least one cell": (),
+        "contiguous": ((0.0, 1.0, 1.0), (1.5, 2.0, 1.0)),  # a gap
+        "contiguous from 0": ((0.5, 1.0, 1.0),),
+        "positive length": ((0.0, 1.0, 1.0), (1.0, 1.0, 2.0)),
+        "only the last cell": ((0.0, math.inf, 1.0), (math.inf, math.inf, 0.0)),
+    }
+    for match, cells in bad_cells.items():
+        with pytest.raises(ValueError, match=match):
+            BoundaryPotential(cells)
+    # one representation: the same cells are the same potential
+    assert Tabulated([1.0, 2.0], 0.5) == PiecewiseConstant((0.5, 1.0), (1.0, 2.0))
 
 
 values_strategy = st.lists(
