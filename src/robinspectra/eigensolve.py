@@ -36,6 +36,14 @@ an exact count that Ritz values could not give: clustered eigenvalues
 cannot be missed that way.  pos(C) is the sum over the two sectors, and
 D > 0 at exactly the edge nodes with sigma < 0, each listed on both edges,
 so the last term is 2*#{edge nodes with sigma < 0}.
+
+Bound states are zeros of the same matrix.  Below 2*lam_0, the bottom of
+T (x) I + I (x) T, the first term is 0, so the j-th eigenvalue of A is where
+mu_{m0+j}(tau), the (m0+j)-th largest eigenvalue of C(tau) over both
+sectors with m0 = #{D > 0}, changes sign; dC/dtau = U^T B^{-2} U makes it
+nondecreasing in tau.  Each zero is found by Newton's method safeguarded by
+bisection, every evaluation of C is an exact count, and the eigenvector is
+B^{-1} U z for the null vector z of C: one backward basis change.
 """
 from __future__ import annotations
 
@@ -92,6 +100,26 @@ DCT_MIN_NODES = 240
 MAX_ITER = 500
 SHIFT_MARGIN = 1e-3  # relative gap between the shift and the certified bound
 RCOND_MIN = 1e-8  # a capacitance matrix conditioned worse than this is singular
+# The roots' |J|/n up to which "auto" root-finds: |J| Robin nodes of n per
+# side.  An evaluation of C costs O(n^2 |J|), an operator application O(n^3)
+# or, by DCT, O(n^2 log n).  Median ms of Step(1.5, L), Constant(1.5) at
+# |J| = n, k = 1, outer Dirichlet, BLAS on one thread (2-vCPU VM);
+# roots / shift-invert at the certified shift:
+#
+#     |J|/n    n = 80 (R = 8)   n = 240 (R = 12)   n = 480 (R = 12)
+#     0.1       1.58/5.41        6.79/38.0          31.9/204
+#     0.25      2.19/4.99        12.3/42.3          61.8/213
+#     0.4       3.65/5.79        24.0/36.8           109/214
+#     0.5       5.24/6.03        25.0/45.3           144/224
+#     0.6       6.73/3.73        36.6/43.0           201/222
+#     0.75      8.25/5.86        54.1/51.2           294/242
+#     1         13.0/6.39        90.8/52.9           487/251
+#
+# The crossover lies between 0.5 and 0.75 at every n.  At |J| = n the
+# certified shift is the ground state itself, so the roots cannot gain.
+ROOTS_MAX_ROBIN = 0.5
+ROOT_XTOL = 1e-13  # a root's bracket width, relative to 1 + |tau|
+ROOT_MAX_EVALS = 100  # capacitance evaluations per root
 SINGULAR_RTOL = 1e-13  # count_below: eigenvalue magnitudes below this, relative, are zero
 
 
@@ -103,7 +131,9 @@ class SpectralResult:
     negative_count: int
     converged: tuple[bool, ...]
     form: DiscreteForm = field(repr=False)
-    applications: int  # shift-invert operator applications (0 when dense)
+    applications: int  # shift-invert operator applications (0 unless shift_invert)
+    method: str  # the path taken: "dense", "roots" or "shift_invert"
+    shift: float | None = None  # the Lanczos shift, on the shift_invert path
 
     def nodal(self, i: int) -> np.ndarray:
         """Nodal values of the i-th eigenvector, unit weighted-L2 norm."""
@@ -168,19 +198,14 @@ def _capacitance(robin: np.ndarray, Q: np.ndarray, H: np.ndarray):
     return QJ, d, (X + Y, X - Y)
 
 
-def _shift_inverse(F: DiscreteForm, shift: float):
-    """x -> (A - shift*I)^{-1} x by fast diagonalisation plus a Woodbury
-    correction for D_Gamma through the two capacitance sectors.
-
-    T's eigenbasis Q is the closed-form cosine basis.  The basis changes
-    Q^T X Q and Q W Q^T are 2-D DCTs (type 3 for outer Dirichlet, type 1 for
-    outer Neumann, norm="ortho") from DCT_MIN_NODES nodes per side when the
-    FFT length, N or 2N, is 5-smooth, and two dense products otherwise.
-    """
-    n, N = F.n, F.grid.intervals
-    lam, Q = _cosine_basis(F)
+def _basis_changes(F: DiscreteForm, Q: np.ndarray):
+    """X -> Q^T X Q and W -> Q W Q^T: 2-D DCTs (type 3 for outer Dirichlet,
+    type 1 for outer Neumann, norm="ortho") from DCT_MIN_NODES nodes per side
+    when the FFT length, N or 2N, is 5-smooth, and two dense products
+    otherwise."""
+    N = F.grid.intervals
     kind, fft_len = (3, N) if F.outer_bc is OuterBC.DIRICHLET else (1, 2 * N)
-    if n >= DCT_MIN_NODES and next_fast_len(fft_len, real=True) == fft_len:
+    if F.n >= DCT_MIN_NODES and next_fast_len(fft_len, real=True) == fft_len:
         def forward(X):
             return dctn(X, type=kind, norm="ortho")
 
@@ -192,7 +217,15 @@ def _shift_inverse(F: DiscreteForm, shift: float):
 
         def backward(W):
             return Q @ W @ Q.T
+    return forward, backward
 
+
+def _shift_inverse(F: DiscreteForm, shift: float):
+    """x -> (A - shift*I)^{-1} x by fast diagonalisation plus a Woodbury
+    correction for D_Gamma through the two capacitance sectors."""
+    n = F.n
+    lam, Q = _cosine_basis(F)
+    forward, backward = _basis_changes(F, Q)
     H = 1.0 / (lam[:, None] + lam[None, :] - shift)
     q0 = Q[0]
     QJ, d, sectors = _capacitance(F.robin, Q, H)
@@ -223,16 +256,96 @@ def _shift_inverse(F: DiscreteForm, shift: float):
     return solve
 
 
+def _bound_states(F: DiscreteForm, k: int, lam: np.ndarray, Q: np.ndarray):
+    """The lowest eigenpairs of A below top = 2*lam_0 - margin, as zeros of C.
+
+    A sector eigenvector v of mu_b at tau gives z = (v, +-v)/sqrt(2) and
+    w = B^{-1} U z, whose coefficients in T's basis are
+    W = H o (q0 c^T +- c q0^T)/sqrt(2) with c = Q_J^T v; its slope is
+    d mu_b/d tau = z^T U^T B^{-2} U z = |W|_F^2.  Newton's method runs from
+    the certified shift, inside the bracket [lo_j, hi_j] of the j-th
+    eigenvalue.  Every evaluation of C is an exact count, which moves the
+    ends of all brackets, and a root is accepted once its bracket is
+    narrower than ROOT_XTOL*(1 + |tau|).  At most pos(C) - m0 <= 2|J| - m0
+    roots lie below top, which caps the branch index m0 + j.
+
+    Returns the number of eigenvalues below top, and the roots, their lower
+    bracket ends and sqrt(2)*W for the k lowest when that many lie below
+    top, or for the lowest alone when fewer do.
+    """
+    q0 = Q[0]
+    S = lam[:, None] + lam[None, :]
+    m0 = 2 * int(np.count_nonzero(F.robin > 0))
+    top = 2.0 * lam[0] - SHIFT_MARGIN * (1.0 + 2.0 * lam[0])
+    lo = hi = np.empty(0)
+
+    def evaluate(tau):
+        """C(tau)'s eigenpairs, mu descending; the count moves every bracket."""
+        H = 1.0 / (S - tau)
+        QJ, _, sectors = _capacitance(F.robin, Q, H)
+        # numpy's batched eigh: a third of scipy's call overhead at |J| <= 20
+        mu, vecs = np.linalg.eigh(np.stack(sectors))
+        order = np.argsort(mu, axis=None)[::-1]
+        below = max(int(np.count_nonzero(mu > 0)) - m0, 0)
+        hi[:below] = np.minimum(hi[:below], tau)
+        lo[below:] = np.maximum(lo[below:], tau)
+        return tau, H, QJ, vecs, mu.ravel()[order], order, below
+
+    def branch(ev, b):
+        """mu_b at ev, its slope and sqrt(2)*W for its eigenvector."""
+        tau, H, QJ, vecs, mu, order, _ = ev
+        sector, i = divmod(int(order[b]), QJ.shape[0])
+        G = np.outer(q0, QJ.T @ vecs[sector, :, i])
+        G = H * (G - G.T if sector else G + G.T)
+        return mu[b], 0.5 * float(np.vdot(G, G)), G
+
+    count = evaluate(top)[-1]
+    want = k if count >= k else min(count, 1)
+    lo, hi = np.full(want, _certified_shift(F)), np.full(want, top)
+    ev = evaluate(lo[0]) if want else None  # Newton's method from the left
+    vals, coeffs = [], []
+    for j in range(want):
+        step = hi[j] - lo[j]
+        for _ in range(ROOT_MAX_EVALS):
+            tau = ev[0]
+            f, slope, G = branch(ev, m0 + j)
+            newton = f / slope if slope > 0 else np.inf
+            eps = ROOT_XTOL * (1.0 + abs(tau))
+            if lo[j] <= tau <= hi[j] and hi[j] - lo[j] <= eps:
+                break
+            # Newton's point, nudged by eps/4 across the root so that the
+            # next count closes the bracket from the other side; bisection
+            # when it leaves the bracket or the step does not halve
+            t = tau - newton - np.copysign(0.25 * eps, f)
+            if not (lo[j] < t < hi[j] and abs(newton) <= 0.5 * step):
+                t = 0.5 * (lo[j] + hi[j])
+            step = abs(t - tau)
+            ev = evaluate(t)
+        else:
+            raise ConvergenceError(
+                f"eigenvalue {j + 1} not bracketed to {ROOT_XTOL:g} in {ROOT_MAX_EVALS} counts"
+            )
+        vals.append(min(max(tau - newton, lo[j]), hi[j]))
+        coeffs.append(G)
+    return count, np.array(vals), lo, coeffs
+
+
 def lowest_eigenpairs(
     F: DiscreteForm, k: int, tol: float = 1e-8, method: str = "auto"
 ) -> SpectralResult:
     """The k algebraically smallest eigenpairs of F.matrix.
 
-    method: "auto", "dense", or "shift_invert".  "auto" takes dense eigh
-    when the dimension is at most DENSE_LIMIT or when the Lanczos basis
-    2k + 10 exceeds a third of the dimension, and shift-invert otherwise;
-    "shift_invert" with a basis over half the dimension raises ValueError,
-    since scipy would silently clamp the basis to the dimension.
+    method: "auto", "dense", "roots" or "shift_invert".  "auto" takes dense
+    eigh when the dimension is at most DENSE_LIMIT or when the Lanczos basis
+    2k + 10 exceeds a third of the dimension.  Otherwise, with at most
+    ROOTS_MAX_ROBIN*n Robin nodes, it returns the roots when all k
+    eigenvalues lie below 2*lam_0(T) - margin, and runs shift-invert at a
+    shift just below the first root when only some do; shift-invert at the
+    certified shift otherwise.  "roots" raises ValueError when fewer than k
+    eigenvalues lie below 2*lam_0(T) - margin; "shift_invert" with a basis
+    over half the dimension raises ValueError, since scipy would silently
+    clamp the basis to the dimension.  SpectralResult.method and .shift
+    record the path taken.
     """
     A = F.matrix
     dim = A.shape[0]
@@ -240,44 +353,64 @@ def lowest_eigenpairs(
         raise ValueError(f"need 1 <= k < dimension-1, got k={k}, dim={dim}")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if method not in ("auto", "dense", "roots", "shift_invert"):
+        raise ValueError(f"unknown method {method!r}")
     ncv = 2 * k + 10
-    if method == "auto":
-        method = "dense" if dim <= DENSE_LIMIT or 3 * ncv > dim else "shift_invert"
+    if method == "shift_invert" and 2 * ncv > dim:
+        raise ValueError(f"shift_invert needs 2k + 10 = {ncv} <= dim/2, got dim={dim}")
+    if method == "auto" and (dim <= DENSE_LIMIT or 3 * ncv > dim):
+        method = "dense"
 
     applications = 0
+    shift = None
     if method == "dense":
         vals, vecs = eigh(A.toarray())
         vals, vecs = vals[:k], vecs[:, :k]
-    elif method == "shift_invert":
-        if 2 * ncv > dim:
-            raise ValueError(f"shift_invert needs 2k + 10 = {ncv} <= dim/2, got dim={dim}")
-        shift = _certified_shift(F)
-        solve = _shift_inverse(F, shift)
-
-        def opinv(x):
-            nonlocal applications
-            applications += 1
-            return solve(x)
-
-        v0 = np.full(dim, 1.0 / np.sqrt(dim))
-        try:
-            vals, vecs = spla.eigsh(
-                A,
-                k=k,
-                sigma=shift,
-                which="LM",
-                v0=v0,
-                ncv=ncv,
-                maxiter=MAX_ITER,
-                tol=0,
-                OPinv=spla.LinearOperator(A.shape, matvec=opinv, dtype=float),
-            )
-        except spla.ArpackError as exc:
-            raise ConvergenceError(f"shift-invert iteration failed: {exc}") from exc
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
     else:
-        raise ValueError(f"unknown method {method!r}")
+        lam, Q = _cosine_basis(F)
+        robin_nodes = int(np.count_nonzero(F.robin))
+        count = 0
+        if robin_nodes and (
+            method == "roots" or (method == "auto" and robin_nodes <= ROOTS_MAX_ROBIN * F.n)
+        ):
+            count, vals, lo, coeffs = _bound_states(F, k, lam, Q)
+        if count >= k:
+            method = "roots"
+            _, backward = _basis_changes(F, Q)
+            vecs = np.column_stack([backward(G).ravel() for G in coeffs])
+        elif method == "roots":
+            raise ValueError(
+                f"roots needs k={k} eigenvalues below 2*lambda_0(T), found {count}"
+            )
+        else:
+            method = "shift_invert"
+            shift = _certified_shift(F)
+            if count:  # an exact count puts lo[0] below the lowest eigenvalue
+                shift = max(shift, lo[0] - SHIFT_MARGIN * (1.0 + abs(lo[0])))
+            solve = _shift_inverse(F, shift)
+
+            def opinv(x):
+                nonlocal applications
+                applications += 1
+                return solve(x)
+
+            v0 = np.full(dim, 1.0 / np.sqrt(dim))
+            try:
+                vals, vecs = spla.eigsh(
+                    A,
+                    k=k,
+                    sigma=shift,
+                    which="LM",
+                    v0=v0,
+                    ncv=ncv,
+                    maxiter=MAX_ITER,
+                    tol=0,
+                    OPinv=spla.LinearOperator(A.shape, matvec=opinv, dtype=float),
+                )
+            except spla.ArpackError as exc:
+                raise ConvergenceError(f"shift-invert iteration failed: {exc}") from exc
+            order = np.argsort(vals)
+            vals, vecs = vals[order], vecs[:, order]
 
     # normalize, fix signs for determinism
     for i in range(k):
@@ -302,6 +435,8 @@ def lowest_eigenpairs(
         converged=conv,
         form=F,
         applications=applications,
+        method=method,
+        shift=shift,
     )
 
 

@@ -9,6 +9,7 @@ from robinspectra import eigensolve
 from robinspectra.certify import crude_lower_bound
 from robinspectra.discretize import Grid, OuterBC, assemble
 from robinspectra.eigensolve import (
+    SHIFT_MARGIN,
     _certified_shift,
     _cosine_basis,
     _shift_inverse,
@@ -203,6 +204,153 @@ def test_result_invariants(small_step_form):
     for lam, r in zip(res.eigenvalues, res.residuals):
         assert r <= 1e-8 * (1 + abs(lam))
     assert all(res.converged)
+
+
+# Forms for the roots beyond STRUCTURED_FORMS: sigma < 0 nodes below several
+# roots (the branch index m0 + j with m0 > 0), and a corner-only sigma > 0.
+ROOT_FORMS = {
+    "sign_changing": PiecewiseConstant((1.0, 1.6, 3.0), (4.0, -2.0, 4.0)),
+    "negative_corner": PiecewiseConstant((0.1, 2.0), (-3.0, 5.0)),
+    "corner_only_positive": PiecewiseConstant((0.1,), (3.0,)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(STRUCTURED_FORMS) + sorted(ROOT_FORMS))
+def root_forms(request):
+    """The form under each outer BC it is listed with, and its dense spectrum."""
+    if request.param in STRUCTURED_FORMS:
+        p, bc = STRUCTURED_FORMS[request.param]
+        bcs = [bc]
+    else:
+        p, bcs = ROOT_FORMS[request.param], list(OuterBC)
+    forms = [assemble(p, Grid(4, 0.2), bc) for bc in bcs]
+    return [(F, eigh(F.matrix.toarray(), eigvals_only=True)) for F in forms]
+
+
+@pytest.mark.parametrize("dct_min_nodes", [0, math.inf], ids=["dct", "gemm"])
+def test_roots_match_dense_eigh(root_forms, dct_min_nodes, monkeypatch):
+    monkeypatch.setattr(eigensolve, "DCT_MIN_NODES", dct_min_nodes)
+    for F, dense in root_forms:
+        lam0 = _cosine_basis(F)[0][0]
+        top = 2 * lam0 - SHIFT_MARGIN * (1 + 2 * lam0)  # the roots look below this
+        for k in range(1, 5):
+            assert not top <= dense[k - 1] < 2 * lam0  # no form sits in the margin
+            if dense[k - 1] >= 2 * lam0:
+                with pytest.raises(ValueError, match=f"roots needs k={k}"):
+                    lowest_eigenpairs(F, k, method="roots")
+                continue
+            res = lowest_eigenpairs(F, k, method="roots")
+            assert (res.method, res.applications, res.shift) == ("roots", 0, None)
+            assert np.abs(res.eigenvalues - dense[:k]).max() < 1e-9
+            G = res.eigenvectors.T @ res.eigenvectors
+            assert np.abs(G - np.eye(k)).max() < 1e-8
+
+
+def test_roots_on_double_eigenvalue():
+    F = assemble(Constant(5.0), Grid(12, 0.1), OuterBC.DIRICHLET)
+    # constant sigma separates: A = T_r (x) I + I (x) T_r, so dense eigh of the
+    # 1D T_r gives every eigenvalue of A as a pair sum
+    T_r = np.diag(F.t_diag) + np.diag(F.t_off, 1) + np.diag(F.t_off, -1)
+    T_r[0, 0] += F.robin[0]
+    mu = eigh(T_r, eigvals_only=True)
+    dense = np.sort((mu[:, None] + mu[None, :]).ravel())[:4]
+    assert dense[1] == pytest.approx(-23.535923, abs=1e-6)
+    assert dense[2] - dense[1] < 1e-12
+    res = lowest_eigenpairs(F, 4, method="roots")
+    assert np.abs(res.eigenvalues - dense).max() < 1e-9
+    G = res.eigenvectors.T @ res.eigenvectors
+    assert np.abs(G - np.eye(4)).max() < 1e-8
+
+
+def test_roots_refuse_without_enough_bound_states(small_step_form):
+    # Step(1, 1) on Grid(4, 0.2) has one eigenvalue below 2*lambda_0(T)
+    assert lowest_eigenpairs(small_step_form, 1, method="roots").method == "roots"
+    with pytest.raises(ValueError, match=r"roots needs k=2 eigenvalues below 2\*lambda_0\(T\), found 1"):
+        lowest_eigenpairs(small_step_form, 2, method="roots")
+    F = assemble(Constant(0.0), Grid(4, 0.2), OuterBC.DIRICHLET)  # no Robin node
+    with pytest.raises(ValueError, match="found 0"):
+        lowest_eigenpairs(F, 1, method="roots")
+
+
+def test_root_budget_is_a_convergence_error(small_step_form, monkeypatch):
+    monkeypatch.setattr(eigensolve, "ROOT_MAX_EVALS", 2)
+    with pytest.raises(ConvergenceError, match="eigenvalue 1 not bracketed"):
+        lowest_eigenpairs(small_step_form, 1, method="roots")
+
+
+def test_shift_invert_basis_check_comes_before_dispatch(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("dispatch ran before the basis check")
+
+    monkeypatch.setattr(eigensolve, "_cosine_basis", fail)
+    F = assemble(Step(1, 1), Grid(2, 0.2), OuterBC.DIRICHLET)
+    with pytest.raises(ValueError, match=r"2k \+ 10 = 130"):
+        lowest_eigenpairs(F, 60, method="shift_invert")
+
+
+def test_roots_bracketed_by_superlu_on_sweep_grid():
+    # the oracle factors A - tau*I and never forms a capacitance matrix
+    rng = np.random.default_rng(12)
+    for sigma, L in zip(rng.uniform(1, 2, 10), rng.uniform(0.25, 2, 10)):
+        F = assemble(Step(float(sigma), float(L)), Grid(8, 0.1), OuterBC.DIRICHLET)
+        res = lowest_eigenpairs(F, 1)
+        assert res.method == "roots"
+        E = float(res.eigenvalues[0])
+        delta = 1e-7 * (1 + abs(E))
+        assert superlu_count_below(F, E - delta) == 0, (sigma, L)
+        assert superlu_count_below(F, E + delta) == 1, (sigma, L)
+
+
+def test_roots_converge_in_few_capacitance_evaluations(monkeypatch):
+    # Newton's method converges quadratically only with the exact slope
+    # |W|_F^2, and the nudge across each root closes its bracket at once:
+    # 6 to 9 evaluations of C per point, the count at 2*lambda_0(T) included
+    calls = []
+
+    def spy(*args):
+        calls.append(1)
+        return capacitance(*args)
+
+    capacitance = eigensolve._capacitance
+    monkeypatch.setattr(eigensolve, "_capacitance", spy)
+    rng = np.random.default_rng(11)
+    for sigma, L in zip(rng.uniform(1, 2, 10), rng.uniform(0.25, 2, 10)):
+        F = assemble(Step(float(sigma), float(L)), Grid(8, 0.1), OuterBC.DIRICHLET)
+        calls.clear()
+        assert lowest_eigenpairs(F, 1).method == "roots"
+        assert len(calls) <= 10, (sigma, L)
+
+
+def test_auto_keeps_the_certified_shift_for_a_whole_robin_edge(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("roots attempted with |J| = n")
+
+    monkeypatch.setattr(eigensolve, "_bound_states", fail)
+    F = assemble(Constant(1.0), Grid(8, 0.1), OuterBC.DIRICHLET)
+    res = lowest_eigenpairs(F, 1)
+    assert res.method == "shift_invert"
+    assert res.shift == _certified_shift(F)
+
+
+def test_auto_takes_the_roots_on_a_sweep_grid_step(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("eigsh called")
+
+    monkeypatch.setattr(eigensolve.spla, "eigsh", fail)
+    F = assemble(Step(1.5, 1.0), Grid(8, 0.1), OuterBC.DIRICHLET)
+    res = lowest_eigenpairs(F, 1)
+    assert (res.method, res.applications, res.shift) == ("roots", 0, None)
+
+
+def test_auto_shifts_just_below_the_first_root_when_others_lie_above():
+    # the oscillating preset: one eigenvalue below 2*lambda_0(T), k = 3
+    F = assemble(PiecewiseConstant((0.5, 1.0), (1.0, -0.4)), Grid(12, 0.05), OuterBC.DIRICHLET)
+    res = lowest_eigenpairs(F, 3)
+    assert res.method == "shift_invert"
+    lam1 = res.eigenvalues[0]
+    assert _certified_shift(F) < res.shift < lam1
+    assert lam1 - res.shift <= 1.01 * SHIFT_MARGIN * (1 + abs(lam1))
+    assert count_below(F, res.shift) == 0
 
 
 def test_count_below_zero_potential():
