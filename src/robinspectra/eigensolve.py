@@ -1,45 +1,54 @@
 """Lowest eigenpairs and exact below-threshold counts of a discrete form.
 
-The iterative path is shift-invert Lanczos on the Kronecker structure
-A = T (x) I + I (x) T + D_Gamma of the assembled form.  With
-r = min(0, min_j -2*sigma(y_j)/h) every Robin entry of D_Gamma is at least
-r, so A >= T_r (x) I + I (x) T_r with T_r = T + r*e0*e0^T, and
+The assembled form is A = T (x) I + I (x) T + D_Gamma.  Every path moves
+sigma's tail value into T: with c = F.robin[-1], T_c = T + c*e0*e0^T gives
+A = T_c (x) I + I (x) T_c + D, D diagonal with robin_j - c at the edge
+nodes (0, j) and (j, 0).  J, the nodes with robin_j != c, is empty for a
+constant sigma, the paper's separable comparison problem: A's eigenpairs
+are then the pair sums lam_p + lam_q and outer products of T_c's, and the
+"pairs" path takes the k lowest from one tridiagonal eigenproblem.  A sigma
+that vanishes at the grid's last node has c = 0, and T_0 = T.
+
+Otherwise the iterative path is shift-invert Lanczos.  With
+r = min_j robin_j every Robin entry is at least r, so
+A >= T_r (x) I + I (x) T_r with T_r = T + r*e0*e0^T, and
 lambda_min(A) >= 2*lambda_min(T_r), one tridiagonal eigenvalue (the
 paper's comparison with the constant strength sigma_hat, taken at the
 largest nodal sigma).  The shift sits a strict margin below that certified
 bound, because for constant sigma the bound is the ground state itself; so
 the k eigenvalues nearest the shift are the k smallest.  (A - s*I)^{-1} is
 applied by fast diagonalisation (Lynch, Rice and Thomas 1964): with
-T = Q diag(lam) Q^T, (T (x) I + I (x) T - s)^{-1} X = Q (H o (Q^T X Q)) Q^T,
-H_pq = 1/(lam_p + lam_q - s), and D_Gamma enters through a Woodbury
-capacitance matrix over the edge nodes with sigma != 0, the corner listed
-once on each edge.  The x <-> y symmetry splits that matrix into two
-sectors of one edge's size, factored apart.  No sparse factor of A - s*I
-is formed.
+T_c = Q diag(lam) Q^T, (T_c (x) I + I (x) T_c - s)^{-1} X = Q (H o (Q^T X Q)) Q^T,
+H_pq = 1/(lam_p + lam_q - s), and D enters through a Woodbury capacitance
+matrix over the nodes in J, the corner listed once on each edge.  The
+x <-> y symmetry splits that matrix into two sectors of one edge's size,
+factored apart.  No sparse factor of A - s*I is formed.
 
-T is the cosine operator, so lam and Q are known in closed form: with N
-intervals and theta_m = (m + 1/2)*pi/N (outer Dirichlet, n = N nodes) or
-m*pi/N (outer Neumann, n = N + 1 nodes), lam_m = (2*sin(theta_m/2)/h)^2
-and Q is the orthonormal DCT-III (Dirichlet) or DCT-I (Neumann) matrix.
-On large grids whose FFT length is 5-smooth the basis changes Q^T X Q and
-Q W Q^T are therefore 2-D cosine transforms, O(n^2 log n) instead of the
-O(n^3) of two dense products; DCT_MIN_NODES says where.
+T_0 = T is the cosine operator, so lam and Q are known in closed form:
+with N intervals and theta_m = (m + 1/2)*pi/N (outer Dirichlet, n = N
+nodes) or m*pi/N (outer Neumann, n = N + 1 nodes),
+lam_m = (2*sin(theta_m/2)/h)^2 and Q is the orthonormal DCT-III
+(Dirichlet) or DCT-I (Neumann) matrix.  On large grids whose FFT length is
+5-smooth the basis changes Q^T X Q and Q W Q^T are therefore 2-D cosine
+transforms, O(n^2 log n) instead of the O(n^3) of two dense products;
+DCT_MIN_NODES says where.  For c != 0, eigh_tridiagonal gives T_c's basis
+and the basis changes are the dense products.
 
-Counts use the same structure.  Bordering B = T (x) I + I (x) T - tau with
-the Robin nodes gives [[B, U], [U^T, -D^{-1}]], whose two Schur complements
-are A - tau*I and -C(tau), the capacitance matrix above taken at tau.
-Haynsworth inertia additivity then gives
+Counts use the same structure.  Bordering B = T_c (x) I + I (x) T_c - tau
+with the nodes in J gives [[B, U], [U^T, -D^{-1}]], whose two Schur
+complements are A - tau*I and -C(tau), the capacitance matrix above taken
+at tau.  Haynsworth inertia additivity then gives
 
     neg(A - tau) = #{(p, q): lam_p + lam_q < tau} + pos(C(tau)) - #{D > 0},
 
 an exact count that Ritz values could not give: clustered eigenvalues
 cannot be missed that way.  pos(C) is the sum over the two sectors, and
-D > 0 at exactly the edge nodes with sigma < 0, each listed on both edges,
-so the last term is 2*#{edge nodes with sigma < 0}.
+D > 0 at exactly the nodes of J with robin_j > c, each listed on both
+edges.  For J empty the count is the number of pair sums below tau.
 
 Bound states are zeros of the same matrix.  Below 2*lam_0, the bottom of
-T (x) I + I (x) T, the first term is 0, so the j-th eigenvalue of A is where
-mu_{m0+j}(tau), the (m0+j)-th largest eigenvalue of C(tau) over both
+T_c (x) I + I (x) T_c, the first term is 0, so the j-th eigenvalue of A is
+where mu_{m0+j}(tau), the (m0+j)-th largest eigenvalue of C(tau) over both
 sectors with m0 = #{D > 0}, changes sign; dC/dtau = U^T B^{-2} U makes it
 nondecreasing in tau.  Each zero is found by Newton's method safeguarded by
 bisection, every evaluation of C is an exact count, and the eigenvector is
@@ -100,11 +109,13 @@ DCT_MIN_NODES = 240
 MAX_ITER = 500
 SHIFT_MARGIN = 1e-3  # relative gap between the shift and the certified bound
 RCOND_MIN = 1e-8  # a capacitance matrix conditioned worse than this is singular
-# The roots' |J|/n up to which "auto" root-finds: |J| Robin nodes of n per
-# side.  An evaluation of C costs O(n^2 |J|), an operator application O(n^3)
-# or, by DCT, O(n^2 log n).  Median ms of Step(1.5, L), Constant(1.5) at
-# |J| = n, k = 1, outer Dirichlet, BLAS on one thread (2-vCPU VM);
-# roots / shift-invert at the certified shift:
+# The roots' |J|/n up to which "auto" root-finds: |J| nodes of n per side
+# where sigma differs from its tail value.  An evaluation of C costs
+# O(n^2 |J|), an operator application O(n^3) or, by DCT, O(n^2 log n).
+# Median ms of Step(1.5, L), k = 1, outer Dirichlet, BLAS on one thread
+# (2-vCPU VM); roots / shift-invert at the certified shift.  The row
+# |J|/n = 1 is Constant(1.5) with c = 0, that is with every edge node in J;
+# with c its tail value a constant sigma has J empty and takes the pairs.
 #
 #     |J|/n    n = 80 (R = 8)   n = 240 (R = 12)   n = 480 (R = 12)
 #     0.1       1.58/5.41        6.79/38.0          31.9/204
@@ -115,8 +126,7 @@ RCOND_MIN = 1e-8  # a capacitance matrix conditioned worse than this is singular
 #     0.75      8.25/5.86        54.1/51.2           294/242
 #     1         13.0/6.39        90.8/52.9           487/251
 #
-# The crossover lies between 0.5 and 0.75 at every n.  At |J| = n the
-# certified shift is the ground state itself, so the roots cannot gain.
+# The crossover lies between 0.5 and 0.75 at every n.
 ROOTS_MAX_ROBIN = 0.5
 ROOT_XTOL = 1e-13  # a root's bracket width, relative to 1 + |tau|
 ROOT_MAX_EVALS = 100  # capacitance evaluations per root
@@ -132,7 +142,7 @@ class SpectralResult:
     converged: tuple[bool, ...]
     form: DiscreteForm = field(repr=False)
     applications: int  # shift-invert operator applications (0 unless shift_invert)
-    method: str  # the path taken: "dense", "roots" or "shift_invert"
+    method: str  # the path taken: "dense", "pairs", "roots" or "shift_invert"
     shift: float | None = None  # the Lanczos shift, on the shift_invert path
 
     def nodal(self, i: int) -> np.ndarray:
@@ -143,47 +153,75 @@ class SpectralResult:
 def _certified_shift(F: DiscreteForm) -> float:
     """A shift strictly below the bound lambda_min(A) >= 2*lambda_min(T_r).
 
-    Capping r at 0 keeps the bound at or below lambda_min(T (x) I + I (x) T),
-    so that operator minus the shift is positive definite.
+    r = min robin <= c keeps the bound at or below the bottom of
+    T_c (x) I + I (x) T_c, so that operator minus the shift is positive
+    definite.
     """
     d = F.t_diag.copy()
-    d[0] += min(F.robin.min(), 0.0)
+    d[0] += F.robin.min()
     mu = eigh_tridiagonal(d, F.t_off, eigvals_only=True, select="i", select_range=(0, 0))
     bound = 2.0 * float(mu[0])
     return bound - SHIFT_MARGIN * (1.0 + abs(bound))
 
 
-def _cosine_basis(F: DiscreteForm) -> tuple[np.ndarray, np.ndarray]:
-    """T's eigenvalues, ascending, and orthonormal eigenvectors in closed form.
+def _basis(F: DiscreteForm, c: float, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """T_c = T + c*e0*e0^T's eigenvalues, ascending, and orthonormal
+    eigenvectors; when k is given, at least the min(k, n) lowest.
 
+    For c != 0 they come from eigh_tridiagonal.  For c = 0,
     theta_m = a_m*pi/(2N) with a_m = 2m + 1 (outer Dirichlet) or 2m (outer
     Neumann); Q_jm = cos(j*theta_m) scaled to the orthonormal DCT-III or
     DCT-I matrix, so that Q^T X Q = dctn(X, type=3 or 1, norm="ortho").
     The cosine's argument is reduced by its integer index j*a_m mod 4N.
     """
+    if c:
+        t_diag = F.t_diag.copy()
+        t_diag[0] += c
+        if k is None or k >= F.n:
+            return eigh_tridiagonal(t_diag, F.t_off)
+        return eigh_tridiagonal(t_diag, F.t_off, select="i", select_range=(0, k - 1))
     n, N, h = F.n, F.grid.intervals, F.grid.h
     dirichlet = F.outer_bc is OuterBC.DIRICHLET
     a = 2 * np.arange(n) + dirichlet
     lam = (2.0 * np.sin(np.pi * a / (4 * N)) / h) ** 2
     cos = np.cos(np.pi / (2 * N) * np.arange(4 * N))
     # sqrt of the trapezoid weight on the rows, and on the columns for DCT-I
-    c = np.ones(n)
-    c[0] = np.sqrt(0.5)
+    w = np.ones(n)
+    w[0] = np.sqrt(0.5)
     if not dirichlet:
-        c[-1] = np.sqrt(0.5)
-    col = np.sqrt(2.0 / N) * (1.0 if dirichlet else c)
-    Q = c[:, None] * cos[np.outer(np.arange(n), a) % (4 * N)] * col
+        w[-1] = np.sqrt(0.5)
+    col = np.sqrt(2.0 / N) * (1.0 if dirichlet else w)
+    Q = w[:, None] * cos[np.outer(np.arange(n), a) % (4 * N)] * col
     return lam, Q
+
+
+def _pair_sums(lam: np.ndarray, V: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k smallest eigenpairs of T_c (x) I + I (x) T_c, given T_c's.
+
+    The k smallest pair sums lam_p + lam_q have p, q < k.  Sums are taken
+    in ascending order, ties by (p, q); p < q is a double, returned as
+    (V_p (x) V_q + V_q (x) V_p)/sqrt(2) and then the same with -.
+    """
+    p, q = np.triu_indices(min(k, lam.size))
+    vals, vecs = [], []
+    for i in np.lexsort((q, p, lam[p] + lam[q])):
+        if len(vals) >= k:
+            break
+        G = np.outer(V[:, p[i]], V[:, q[i]])
+        pairs = [G] if p[i] == q[i] else [(G + G.T) / np.sqrt(2.0), (G - G.T) / np.sqrt(2.0)]
+        vals += [lam[p[i]] + lam[q[i]]] * len(pairs)
+        vecs += [P.ravel() for P in pairs]
+    return np.array(vals[:k]), np.column_stack(vecs[:k])
 
 
 def _capacitance(robin: np.ndarray, Q: np.ndarray, H: np.ndarray):
     """The two sectors of the capacitance C = diag(1/D) + U^T B^{-1} U.
 
-    B = T (x) I + I (x) T - s with T = Q diag(lam) Q^T is given by
+    B = T_c (x) I + I (x) T_c - s with T_c = Q diag(lam) Q^T is given by
     H_pq = 1/(lam_p + lam_q - s), and robin holds the edge coefficient per
-    node, so that the form is B + s*I + U diag(D) U^T.  U lists the nodes
-    (0, j) and then (j, 0) for j in J, those with robin != 0, with D = robin[J]
-    on each edge; the corner, listed on both, sums to its two edge terms
+    node less c, so that the form is B + s*I + U diag(D) U^T.  U lists the
+    nodes (0, j) and then (j, 0) for j in J, those with robin != 0, with
+    D = robin[J] on each edge; the corner, listed on both, sums to its two edge terms
     exactly as assemble builds them.  The x <-> y symmetry of B makes
     C = [[X, Y], [Y, X]], with diag(1/d), d = robin[J], inside X; the
     orthogonal [[I, I], [I, -I]]/sqrt(2) turns C into the two sectors
@@ -198,14 +236,14 @@ def _capacitance(robin: np.ndarray, Q: np.ndarray, H: np.ndarray):
     return QJ, d, (X + Y, X - Y)
 
 
-def _basis_changes(F: DiscreteForm, Q: np.ndarray):
-    """X -> Q^T X Q and W -> Q W Q^T: 2-D DCTs (type 3 for outer Dirichlet,
-    type 1 for outer Neumann, norm="ortho") from DCT_MIN_NODES nodes per side
-    when the FFT length, N or 2N, is 5-smooth, and two dense products
-    otherwise."""
+def _basis_changes(F: DiscreteForm, Q: np.ndarray, c: float):
+    """X -> Q^T X Q and W -> Q W Q^T for Q = _basis(F, c)[1]: for c = 0,
+    2-D DCTs (type 3 for outer Dirichlet, type 1 for outer Neumann,
+    norm="ortho") from DCT_MIN_NODES nodes per side when the FFT length,
+    N or 2N, is 5-smooth, and two dense products otherwise."""
     N = F.grid.intervals
     kind, fft_len = (3, N) if F.outer_bc is OuterBC.DIRICHLET else (1, 2 * N)
-    if F.n >= DCT_MIN_NODES and next_fast_len(fft_len, real=True) == fft_len:
+    if not c and F.n >= DCT_MIN_NODES and next_fast_len(fft_len, real=True) == fft_len:
         def forward(X):
             return dctn(X, type=kind, norm="ortho")
 
@@ -222,13 +260,13 @@ def _basis_changes(F: DiscreteForm, Q: np.ndarray):
 
 def _shift_inverse(F: DiscreteForm, shift: float):
     """x -> (A - shift*I)^{-1} x by fast diagonalisation plus a Woodbury
-    correction for D_Gamma through the two capacitance sectors."""
-    n = F.n
-    lam, Q = _cosine_basis(F)
-    forward, backward = _basis_changes(F, Q)
+    correction for D through the two capacitance sectors."""
+    n, c = F.n, F.robin[-1]
+    lam, Q = _basis(F, c)
+    forward, backward = _basis_changes(F, Q, c)
     H = 1.0 / (lam[:, None] + lam[None, :] - shift)
     q0 = Q[0]
-    QJ, d, sectors = _capacitance(F.robin, Q, H)
+    QJ, d, sectors = _capacitance(F.robin - c, Q, H)
     lus = []
     for C in sectors if d.size else ():
         lu = lu_factor(C, check_finite=False)
@@ -260,7 +298,7 @@ def _bound_states(F: DiscreteForm, k: int, lam: np.ndarray, Q: np.ndarray):
     """The lowest eigenpairs of A below top = 2*lam_0 - margin, as zeros of C.
 
     A sector eigenvector v of mu_b at tau gives z = (v, +-v)/sqrt(2) and
-    w = B^{-1} U z, whose coefficients in T's basis are
+    w = B^{-1} U z, whose coefficients in T_c's basis are
     W = H o (q0 c^T +- c q0^T)/sqrt(2) with c = Q_J^T v; its slope is
     d mu_b/d tau = z^T U^T B^{-2} U z = |W|_F^2.  Newton's method runs from
     the certified shift, inside the bracket [lo_j, hi_j] of the j-th
@@ -275,14 +313,15 @@ def _bound_states(F: DiscreteForm, k: int, lam: np.ndarray, Q: np.ndarray):
     """
     q0 = Q[0]
     S = lam[:, None] + lam[None, :]
-    m0 = 2 * int(np.count_nonzero(F.robin > 0))
-    top = 2.0 * lam[0] - SHIFT_MARGIN * (1.0 + 2.0 * lam[0])
+    robin = F.robin - F.robin[-1]
+    m0 = 2 * int(np.count_nonzero(robin > 0))
+    top = 2.0 * lam[0] - SHIFT_MARGIN * (1.0 + abs(2.0 * lam[0]))
     lo = hi = np.empty(0)
 
     def evaluate(tau):
         """C(tau)'s eigenpairs, mu descending; the count moves every bracket."""
         H = 1.0 / (S - tau)
-        QJ, _, sectors = _capacitance(F.robin, Q, H)
+        QJ, _, sectors = _capacitance(robin, Q, H)
         # numpy's batched eigh: a third of scipy's call overhead at |J| <= 20
         mu, vecs = np.linalg.eigh(np.stack(sectors))
         order = np.argsort(mu, axis=None)[::-1]
@@ -337,12 +376,13 @@ def lowest_eigenpairs(
 
     method: "auto", "dense", "roots" or "shift_invert".  "auto" takes dense
     eigh when the dimension is at most DENSE_LIMIT or when the Lanczos basis
-    2k + 10 exceeds a third of the dimension.  Otherwise, with at most
-    ROOTS_MAX_ROBIN*n Robin nodes, it returns the roots when all k
-    eigenvalues lie below 2*lam_0(T) - margin, and runs shift-invert at a
+    2k + 10 exceeds a third of the dimension.  Otherwise, with J empty
+    (sigma constant on the grid) it returns the pair sums; with
+    0 < |J| <= ROOTS_MAX_ROBIN*n it returns the roots when all k
+    eigenvalues lie below 2*lam_0(T_c) - margin, and runs shift-invert at a
     shift just below the first root when only some do; shift-invert at the
     certified shift otherwise.  "roots" raises ValueError when fewer than k
-    eigenvalues lie below 2*lam_0(T) - margin; "shift_invert" with a basis
+    eigenvalues lie below 2*lam_0(T_c) - margin; "shift_invert" with a basis
     over half the dimension raises ValueError, since scipy would silently
     clamp the basis to the dimension.  SpectralResult.method and .shift
     record the path taken.
@@ -366,9 +406,13 @@ def lowest_eigenpairs(
     if method == "dense":
         vals, vecs = eigh(A.toarray())
         vals, vecs = vals[:k], vecs[:, :k]
+    elif method == "auto" and np.all(F.robin == F.robin[-1]):
+        method = "pairs"
+        vals, vecs = _pair_sums(*_basis(F, F.robin[-1], k), k)
     else:
-        lam, Q = _cosine_basis(F)
-        robin_nodes = int(np.count_nonzero(F.robin))
+        c = F.robin[-1]
+        lam, Q = _basis(F, c)
+        robin_nodes = int(np.count_nonzero(F.robin != c))
         count = 0
         if robin_nodes and (
             method == "roots" or (method == "auto" and robin_nodes <= ROOTS_MAX_ROBIN * F.n)
@@ -376,11 +420,11 @@ def lowest_eigenpairs(
             count, vals, lo, coeffs = _bound_states(F, k, lam, Q)
         if count >= k:
             method = "roots"
-            _, backward = _basis_changes(F, Q)
+            _, backward = _basis_changes(F, Q, c)
             vecs = np.column_stack([backward(G).ravel() for G in coeffs])
         elif method == "roots":
             raise ValueError(
-                f"roots needs k={k} eigenvalues below 2*lambda_0(T), found {count}"
+                f"roots needs k={k} eigenvalues below 2*lambda_0(T_c), found {count}"
             )
         else:
             method = "shift_invert"
@@ -394,7 +438,10 @@ def lowest_eigenpairs(
                 applications += 1
                 return solve(x)
 
-            v0 = np.full(dim, 1.0 / np.sqrt(dim))
+            # not symmetric under x <-> y, which A commutes with: a symmetric
+            # start vector leaves the odd eigenvectors to rounding
+            v0 = np.linspace(1.0, 2.0, dim)
+            v0 /= np.linalg.norm(v0)
             try:
                 vals, vecs = spla.eigsh(
                     A,
@@ -443,20 +490,19 @@ def lowest_eigenpairs(
 def count_below(F: DiscreteForm, tau: float) -> int:
     """Exact number of eigenvalues strictly below tau, by inertia.
 
-    With T's eigenvalues lam and the capacitance C(tau) over the edge nodes
-    with sigma != 0, each listed on both edges, Haynsworth inertia
-    additivity gives
+    With T_c's eigenvalues lam, c = F.robin[-1], and the capacitance C(tau)
+    over the nodes of J (robin != c), each listed on both edges, Haynsworth
+    inertia additivity gives
 
         neg(A - tau) = #{(p, q): lam_p + lam_q < tau} + pos(C(tau))
-                       - 2*#{edge nodes with sigma < 0},
+                       - 2*#{nodes of J with robin > c},
 
     pos(C) summed over its two sectors and the last term counting the
-    entries D = -2*sigma/h > 0, once per edge.  The split needs
-    B = T (x) I + I (x) T - tau regular.  When min|lam_p + lam_q - tau| is
-    below SINGULAR_RTOL relative to the largest (outer Neumann at tau = 0:
-    T has the eigenvalue 0), the count is redone with c = 1/h moved from
-    D_Gamma into T, T + c*e0*e0^T: every edge node is then a Robin node,
-    with D = -2*sigma/h - c.
+    entries D = robin - c > 0, once per edge.  The split needs
+    B = T_c (x) I + I (x) T_c - tau regular.  When min|lam_p + lam_q - tau|
+    is below SINGULAR_RTOL relative to the largest (outer Neumann at
+    tau = 0: T has the eigenvalue 0), the count is redone with c + 1/h in
+    place of c, with D = robin - c - 1/h on the new J.
     When min|eig(C)| is below SINGULAR_RTOL relative to the largest, tau
     sits on an eigenvalue of A: tau is moved up by 1e-10 and the count
     retried, up to three times.  A count at such a tau lies between the
@@ -465,13 +511,8 @@ def count_below(F: DiscreteForm, tau: float) -> int:
     """
     t = tau
     for attempt in range(4):
-        for c in (0.0, 1.0 / F.grid.h):
-            if c:  # T + c*e0*e0^T has no cosine basis
-                t_diag = F.t_diag.copy()
-                t_diag[0] += c
-                lam, Q = eigh_tridiagonal(t_diag, F.t_off)
-            else:
-                lam, Q = _cosine_basis(F)
+        for c in F.robin[-1] + np.array([0.0, 1.0 / F.grid.h]):
+            lam, Q = _basis(F, c)
             S = lam[:, None] + lam[None, :] - t
             if np.abs(S).min() < SINGULAR_RTOL * np.abs(S).max():
                 continue  # B is singular at t: try the next split

@@ -10,14 +10,14 @@ from robinspectra.certify import crude_lower_bound
 from robinspectra.discretize import Grid, OuterBC, assemble
 from robinspectra.eigensolve import (
     SHIFT_MARGIN,
+    _basis,
     _certified_shift,
-    _cosine_basis,
     _shift_inverse,
     count_below,
     lowest_eigenpairs,
 )
 from robinspectra.errors import ConvergenceError, FactorizationError
-from robinspectra.potential import Constant, PiecewiseConstant, Step, Tabulated
+from robinspectra.potential import BoundaryPotential, Constant, PiecewiseConstant, Step, Tabulated
 from superlu_inertia import superlu_count_below
 
 # small grids are deliberate here; silence the truncation advisory
@@ -51,6 +51,9 @@ def test_sparse_matches_dense(small_step_form):
     assert np.abs(sparse.eigenvalues - dense.eigenvalues).max() < 1e-9
 
 
+# sigma = 2 on [0, 1) and 1 beyond: no cosine basis, and J != {}
+TAIL = BoundaryPotential(((0, 1, 2), (1, math.inf, 1)))
+
 # Forms that exercise each branch of the structured shift-invert solve.
 STRUCTURED_FORMS = {
     # outer Neumann keeps the node at R, so T's last diagonal entry is halved
@@ -66,6 +69,8 @@ STRUCTURED_FORMS = {
     "corner_off": (PiecewiseConstant((0.2, 1.0), (0.0, 1.0)), OuterBC.DIRICHLET),
     # the corner is the only Robin node, listed on both edges
     "corner_only": (PiecewiseConstant((0.1,), (-0.5,)), OuterBC.DIRICHLET),
+    # sigma's tail value c != 0 moves into T_c, and J is the cells before it
+    "tail": (TAIL, OuterBC.DIRICHLET),
 }
 
 
@@ -90,15 +95,17 @@ def _spy_on_dctn(monkeypatch):
 @pytest.fixture
 def transforms(monkeypatch):
     """The shift-inverse's two basis changes in turn: the cosine transform
-    at any size, then the two dense products at every size."""
+    at any size, then the two dense products at every size.  A form whose
+    sigma does not vanish at the last node (c != 0) has no cosine basis, so
+    it takes the dense products both times."""
 
-    def each():
+    def each(F):
         for kind in ("dct", "gemm"):
             monkeypatch.setattr(eigensolve, "DCT_MIN_NODES", 0 if kind == "dct" else math.inf)
             calls = _spy_on_dctn(monkeypatch)
             yield kind
             # Grid(4, 0.2) has N = 20: both FFT lengths, 20 and 40, are 5-smooth
-            assert bool(calls) == (kind == "dct"), kind
+            assert bool(calls) == (kind == "dct" and F.robin[-1] == 0), kind
 
     return each
 
@@ -107,7 +114,7 @@ def transforms(monkeypatch):
 @pytest.mark.parametrize("N", [20, 41, 480, 481])  # 41 is prime
 def test_cosine_basis_diagonalises_T(N, bc):
     F = assemble(Constant(0.0), Grid(N * 0.1, 0.1), bc)
-    lam, Q = _cosine_basis(F)
+    lam, Q = _basis(F, 0.0)
     T = np.diag(F.t_diag) + np.diag(F.t_off, 1) + np.diag(F.t_off, -1)
     norm_T = np.linalg.norm(T, 2)
     assert np.all(np.diff(lam) > 0)
@@ -116,9 +123,23 @@ def test_cosine_basis_diagonalises_T(N, bc):
     assert np.abs(lam - eigh_tridiagonal(F.t_diag, F.t_off, eigvals_only=True)).max() <= 1e-13 * norm_T
 
 
+@pytest.mark.parametrize("k", [None, 3])
+def test_basis_diagonalises_T_c(k):
+    F = assemble(TAIL, Grid(4, 0.2), OuterBC.NEUMANN)
+    c = F.robin[-1]
+    lam, Q = _basis(F, c, k)
+    T_c = np.diag(F.t_diag) + np.diag(F.t_off, 1) + np.diag(F.t_off, -1)
+    T_c[0, 0] += c
+    dense = eigh(T_c, eigvals_only=True)
+    assert lam.size == (F.n if k is None else k)
+    assert np.abs(lam - dense[: lam.size]).max() <= 1e-12 * np.abs(dense).max()
+    assert np.linalg.norm(T_c @ Q - Q * lam, 2) <= 1e-12 * np.abs(dense).max()
+    assert np.linalg.norm(Q.T @ Q - np.eye(lam.size), 2) <= 1e-13
+
+
 def test_shift_invert_matches_dense_eigh(structured_form, transforms):
     F, dense = structured_form
-    for kind in transforms():
+    for kind in transforms(F):
         res = lowest_eigenpairs(F, 4, method="shift_invert")
         assert np.abs(res.eigenvalues - dense[:4]).max() < 1e-9, kind
         assert res.applications > 0
@@ -136,8 +157,8 @@ def test_certified_shift_tight_for_constant_sigma():
     assert 0 < lam0 - _certified_shift(F) < 1e-2
 
 
-def test_capacitance_breakdown_at_attained_bound():
-    F = assemble(Constant(1.0), Grid(4, 0.2), OuterBC.DIRICHLET)
+def test_capacitance_breakdown_at_an_eigenvalue():
+    F = assemble(TAIL, Grid(4, 0.2), OuterBC.DIRICHLET)
     lam0 = eigh(F.matrix.toarray(), eigvals_only=True)[0]
     with pytest.raises(FactorizationError, match="capacitance"):
         _shift_inverse(F, lam0)
@@ -147,7 +168,7 @@ def test_shift_inverse_solves_shifted_system(structured_form, transforms):
     F, _ = structured_form
     shift = _certified_shift(F)
     x = np.random.default_rng(3).standard_normal(F.dimension)
-    for kind in transforms():
+    for kind in transforms(F):
         y = _shift_inverse(F, shift)(x)
         assert np.linalg.norm(F.matrix @ y - shift * y - x) < 1e-10 * np.linalg.norm(x), kind
 
@@ -231,8 +252,16 @@ def root_forms(request):
 def test_roots_match_dense_eigh(root_forms, dct_min_nodes, monkeypatch):
     monkeypatch.setattr(eigensolve, "DCT_MIN_NODES", dct_min_nodes)
     for F, dense in root_forms:
-        lam0 = _cosine_basis(F)[0][0]
-        top = 2 * lam0 - SHIFT_MARGIN * (1 + 2 * lam0)  # the roots look below this
+        if np.all(F.robin == F.robin[-1]):
+            # J is empty: every eigenvalue is a pair sum, and C has no zero
+            with pytest.raises(ValueError, match="found 0"):
+                lowest_eigenpairs(F, 1, method="roots")
+            res = lowest_eigenpairs(F, 4)
+            assert res.method == "pairs"
+            assert np.abs(res.eigenvalues - dense[:4]).max() < 1e-9
+            continue
+        lam0 = _basis(F, F.robin[-1])[0][0]
+        top = 2 * lam0 - SHIFT_MARGIN * (1 + abs(2 * lam0))  # the roots look below this
         for k in range(1, 5):
             assert not top <= dense[k - 1] < 2 * lam0  # no form sits in the margin
             if dense[k - 1] >= 2 * lam0:
@@ -246,7 +275,12 @@ def test_roots_match_dense_eigh(root_forms, dct_min_nodes, monkeypatch):
             assert np.abs(G - np.eye(k)).max() < 1e-8
 
 
-def test_roots_on_double_eigenvalue():
+def _swap(n, v):
+    """v with x and y exchanged."""
+    return v.reshape(n, n).T.ravel()
+
+
+def test_pairs_on_double_eigenvalue():
     F = assemble(Constant(5.0), Grid(12, 0.1), OuterBC.DIRICHLET)
     # constant sigma separates: A = T_r (x) I + I (x) T_r, so dense eigh of the
     # 1D T_r gives every eigenvalue of A as a pair sum
@@ -256,16 +290,20 @@ def test_roots_on_double_eigenvalue():
     dense = np.sort((mu[:, None] + mu[None, :]).ravel())[:4]
     assert dense[1] == pytest.approx(-23.535923, abs=1e-6)
     assert dense[2] - dense[1] < 1e-12
-    res = lowest_eigenpairs(F, 4, method="roots")
+    res = lowest_eigenpairs(F, 4)
+    assert (res.method, res.applications, res.shift) == ("pairs", 0, None)
     assert np.abs(res.eigenvalues - dense).max() < 1e-9
-    G = res.eigenvectors.T @ res.eigenvectors
-    assert np.abs(G - np.eye(4)).max() < 1e-8
+    V = res.eigenvectors
+    assert np.abs(V.T @ V - np.eye(4)).max() < 1e-12
+    # the double comes back as one vector even and one odd under x <-> y
+    assert np.abs(_swap(F.n, V[:, 1]) - V[:, 1]).max() < 1e-12
+    assert np.abs(_swap(F.n, V[:, 2]) + V[:, 2]).max() < 1e-12
 
 
 def test_roots_refuse_without_enough_bound_states(small_step_form):
     # Step(1, 1) on Grid(4, 0.2) has one eigenvalue below 2*lambda_0(T)
     assert lowest_eigenpairs(small_step_form, 1, method="roots").method == "roots"
-    with pytest.raises(ValueError, match=r"roots needs k=2 eigenvalues below 2\*lambda_0\(T\), found 1"):
+    with pytest.raises(ValueError, match=r"roots needs k=2 eigenvalues below 2\*lambda_0\(T_c\), found 1"):
         lowest_eigenpairs(small_step_form, 2, method="roots")
     F = assemble(Constant(0.0), Grid(4, 0.2), OuterBC.DIRICHLET)  # no Robin node
     with pytest.raises(ValueError, match="found 0"):
@@ -282,7 +320,7 @@ def test_shift_invert_basis_check_comes_before_dispatch(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("dispatch ran before the basis check")
 
-    monkeypatch.setattr(eigensolve, "_cosine_basis", fail)
+    monkeypatch.setattr(eigensolve, "_basis", fail)
     F = assemble(Step(1, 1), Grid(2, 0.2), OuterBC.DIRICHLET)
     with pytest.raises(ValueError, match=r"2k \+ 10 = 130"):
         lowest_eigenpairs(F, 60, method="shift_invert")
@@ -322,14 +360,17 @@ def test_roots_converge_in_few_capacitance_evaluations(monkeypatch):
 
 
 def test_auto_keeps_the_certified_shift_for_a_whole_robin_edge(monkeypatch):
+    # constant sigma puts its value in T_c, so J is empty: the pair sums of
+    # one tridiagonal problem, with no Lanczos and no capacitance matrix
     def fail(*args, **kwargs):
-        raise AssertionError("roots attempted with |J| = n")
+        raise AssertionError("Lanczos or the roots ran on a separable form")
 
+    monkeypatch.setattr(eigensolve.spla, "eigsh", fail)
     monkeypatch.setattr(eigensolve, "_bound_states", fail)
+    monkeypatch.setattr(eigensolve, "_capacitance", fail)
     F = assemble(Constant(1.0), Grid(8, 0.1), OuterBC.DIRICHLET)
     res = lowest_eigenpairs(F, 1)
-    assert res.method == "shift_invert"
-    assert res.shift == _certified_shift(F)
+    assert (res.method, res.applications, res.shift) == ("pairs", 0, None)
 
 
 def test_auto_takes_the_roots_on_a_sweep_grid_step(monkeypatch):
@@ -340,6 +381,18 @@ def test_auto_takes_the_roots_on_a_sweep_grid_step(monkeypatch):
     F = assemble(Step(1.5, 1.0), Grid(8, 0.1), OuterBC.DIRICHLET)
     res = lowest_eigenpairs(F, 1)
     assert (res.method, res.applications, res.shift) == ("roots", 0, None)
+
+
+@pytest.mark.parametrize("bc", list(OuterBC))
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 5.0])
+def test_pairs_match_shift_invert(sigma, bc):
+    F = assemble(Constant(sigma), Grid(4, 0.2), bc)
+    for k in range(1, 5):
+        pairs = lowest_eigenpairs(F, k)
+        lanczos = lowest_eigenpairs(F, k, method="shift_invert")
+        assert (pairs.method, pairs.applications, lanczos.method) == ("pairs", 0, "shift_invert")
+        assert np.abs(pairs.eigenvalues - lanczos.eigenvalues).max() < 1e-9, k
+        assert np.all(pairs.residuals <= 1e-8 * (1 + np.abs(pairs.eigenvalues)))
 
 
 def test_auto_shifts_just_below_the_first_root_when_others_lie_above():
@@ -389,6 +442,8 @@ COUNT_FORMS = {
     "corner_off": (PiecewiseConstant((0.2, 1.0), (0.0, 1.0)), OuterBC.DIRICHLET),
     # only the corner has sigma != 0, and sigma < 0: its D > 0 counts on both edges
     "corner_only": (PiecewiseConstant((0.1,), (-0.5,)), OuterBC.DIRICHLET),
+    # c != 0 with J != {}, and outer Neumann
+    "tail_neumann": (TAIL, OuterBC.NEUMANN),
 }
 
 
@@ -415,7 +470,7 @@ def _neumann_zero():
 
 def _exact_pair_sum():
     F = assemble(Step(1, 1), Grid(4, 0.2), OuterBC.DIRICHLET)
-    lam, _ = _cosine_basis(F)  # the basis count_below takes
+    lam, _ = _basis(F, 0.0)  # the basis count_below takes
     return F, lam[0] + lam[1]
 
 
@@ -464,6 +519,21 @@ def test_count_below_matches_superlu_on_sweep_grid():
         delta = 1e-7 * (1 + abs(E))
         for tau in (0.0, E - delta, E + delta):
             assert count_below(F, tau) == superlu_count_below(F, tau), (sigma, L, tau)
+
+
+@pytest.mark.parametrize("bc", list(OuterBC))
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 5.0])
+def test_count_below_on_separable_forms(sigma, bc):
+    # J is empty: the count is the number of pair sums below tau.  The
+    # oracle's LU without row interchanges meets a zero pivot on the strong
+    # edge sigma = 5, so it checks the two weaker ones.
+    F = assemble(Constant(sigma), Grid(2, 0.2), bc)
+    vals = eigh(F.matrix.toarray(), eigvals_only=True)
+    gaps = np.flatnonzero(np.diff(vals) > 1e-6)[::5]
+    for tau in (0.0, vals[0] - 1.0, *((vals[gaps] + vals[gaps + 1]) / 2)):
+        assert count_below(F, tau) == int(np.sum(vals < tau)), tau
+        if sigma < 5:
+            assert count_below(F, tau) == superlu_count_below(F, tau), tau
 
 
 @pytest.mark.parametrize("bc", list(OuterBC))
@@ -519,12 +589,25 @@ def test_bad_arguments(small_step_form):
 # 1e-10 instead of 0 failed both: it skipped the oscillating form's third
 # eigenvalue and returned one copy of Constant(5)'s double fourth.
 @pytest.mark.parametrize(
-    "p, k",
-    [(PiecewiseConstant((0.5, 1.0), (1.0, -0.4)), 3), (Constant(5.0), 4)],
-    ids=["oscillating", "constant_5"],
+    "p, grid, bc, k",
+    [
+        (PiecewiseConstant((0.5, 1.0), (1.0, -0.4)), Grid(12, 0.1), OuterBC.DIRICHLET, 3),
+        (Constant(5.0), Grid(12, 0.1), OuterBC.DIRICHLET, 4),
+        # the second eigenvalue, -39.818338, is odd under x <-> y: a start
+        # vector even under the swap returned -39.555850 in its place
+        (
+            PiecewiseConstant(
+                (0.48390814487617695, 1.2390735772214403), (6.006464616828136, 7.265538445350144)
+            ),
+            Grid(6, 0.1),
+            OuterBC.NEUMANN,
+            2,
+        ),
+    ],
+    ids=["oscillating", "constant_5", "odd_second"],
 )
-def test_shift_invert_misses_no_eigenvalue(p, k):
-    F = assemble(p, Grid(12, 0.1), OuterBC.DIRICHLET)
+def test_shift_invert_misses_no_eigenvalue(p, grid, bc, k):
+    F = assemble(p, grid, bc)
     vals = lowest_eigenpairs(F, k, method="shift_invert").eigenvalues
     below = [lam - 1e-7 * (1 + abs(lam)) for lam in (vals[0], vals[-1])]
     assert count_below(F, below[0]) == 0
