@@ -66,6 +66,9 @@ def decay_fit(
     against r; off-node points are obtained by bilinear interpolation.  The
     result carries the sampled radii, |v| and the fitted model at each radius.
     """
+    support = F.potential.support_bound()
+    if not math.isfinite(support):
+        raise InapplicableError("decay analysis requires a compactly supported potential")
     if E >= 0:
         raise InapplicableError("no negative ground energy; nothing decays")
     ray = np.asarray(ray, dtype=np.float64)
@@ -74,8 +77,7 @@ def decay_fit(
         raise ValueError("ray must be a nonzero direction in the closed quadrant")
     ray = ray / nrm
 
-    support = F.potential.support_bound()
-    if math.isfinite(support) and r_min < support + 1:
+    if r_min < support + 1:
         raise ValueError(f"r_min must be at least support_bound + 1 = {support + 1}")
     if r_max > F.grid.R - 2:
         raise ValueError(f"r_max must be at most R - 2 = {F.grid.R - 2}")
@@ -163,12 +165,3 @@ def richardson(study_points: Sequence[tuple[float, float]]) -> ConvergenceStudy:
     order = math.log2(d1 / d2)
     extrapolated = lams[-1] - d2 / (2 ** order - 1)
     return ConvergenceStudy(extrapolated=extrapolated, order=order)
-
-
-def l2_distance(F: DiscreteForm, u: np.ndarray, v: np.ndarray) -> float:
-    """Weighted-L2 distance between nodal vectors after sign alignment."""
-    u = np.asarray(u) / F.weighted_norm(u)
-    v = np.asarray(v) / F.weighted_norm(v)
-    if float(np.dot(F.scale * u, F.scale * v)) < 0:
-        v = -v
-    return F.weighted_norm(u - v)

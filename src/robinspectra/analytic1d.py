@@ -24,10 +24,10 @@ root's residual is checked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 from .errors import InapplicableError
+from .potential import BoundaryPotential
 
 KAPPA_RESIDUAL_TOL = 1e-12
 ROOT_RESIDUAL_TOL = 1e-10
@@ -40,22 +40,16 @@ class ConstantReference:
     sigma: float
     ground_energy: float
     ess_bottom: float
-    ground_state: Callable[[float, float], float] = field(repr=False)
 
 
-def constant_reference(sigma: float) -> ConstantReference:
+def constant_reference(p: BoundaryPotential) -> ConstantReference:
+    """The reference for p = Constant(sigma), sigma > 0."""
+    _, hi, sigma = p.cells[0]
+    if not math.isinf(hi):
+        raise InapplicableError("reference task needs a constant potential")
     if sigma <= 0:
         raise InapplicableError("the constant reference needs sigma > 0")
-
-    def ground_state(x: float, y: float) -> float:
-        return 2 * sigma * math.exp(-sigma * (x + y))
-
-    return ConstantReference(
-        sigma=sigma,
-        ground_energy=-2 * sigma ** 2,
-        ess_bottom=-sigma ** 2,
-        ground_state=ground_state,
-    )
+    return ConstantReference(sigma=sigma, ground_energy=-2 * sigma ** 2, ess_bottom=-sigma ** 2)
 
 
 def _bisect(f, lo, hi, iters=200):
@@ -82,7 +76,8 @@ def _bisect(f, lo, hi, iters=200):
 
 
 def _ground(sigma_hat: float, L: float) -> tuple[float, float]:
-    """`interval_ground_kappa` and the residual of its equation."""
+    """The root kappa > sigma_hat of kappa*tanh(kappa*L/2) = sigma_hat and its
+    residual; the left side increases in kappa, so one bisection finds it."""
     if sigma_hat <= 0 or L <= 0:
         raise ValueError("sigma_hat and L must be positive")
 
@@ -100,15 +95,6 @@ def _ground(sigma_hat: float, L: float) -> tuple[float, float]:
     return kappa, res
 
 
-def interval_ground_kappa(sigma_hat: float, L: float) -> float:
-    """Unique root kappa > sigma_hat of kappa*tanh(kappa*L/2) = sigma_hat.
-
-    The left-hand side is strictly increasing in kappa, so a single bisection
-    bracket suffices.
-    """
-    return _ground(sigma_hat, L)[0]
-
-
 def kappa_residual(kappa: float, sigma_hat: float, L: float) -> float:
     return kappa * math.tanh(kappa * L / 2) - sigma_hat
 
@@ -123,7 +109,8 @@ def root_function(k: float, sigma_hat: float, L: float) -> float:
 
 
 def _levels(sigma_hat: float, L: float, k_max: float) -> list[tuple[float, float]]:
-    """Each positive level k <= k_max and its `root_function` residual."""
+    """Each positive level k <= k_max, ascending, and its `root_function`
+    residual; valid for every sigma_hat > 0."""
     if sigma_hat <= 0 or L <= 0 or k_max <= 0:
         raise ValueError("sigma_hat, L and k_max must be positive")
 
@@ -143,12 +130,6 @@ def _levels(sigma_hat: float, L: float, k_max: float) -> list[tuple[float, float
         levels.append((k, res))
         lo, m = m * math.pi / L, m + 1
     return levels
-
-
-def interval_positive_roots(sigma_hat: float, L: float, k_max: float) -> list[float]:
-    """All positive roots k <= k_max of the interval level condition, ascending,
-    one bisection per phase branch; valid for every sigma_hat > 0."""
-    return [k for k, _ in _levels(sigma_hat, L, k_max)]
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,6 @@ against these bounds by the analysis layer and the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -24,17 +23,6 @@ from .potential import BoundaryPotential
 class EssClass(Enum):
     NON_POSITIVE_TAIL = "NonPositiveTail"
     CONSTANT_POSITIVE = "ConstantPositive"
-
-
-@dataclass(frozen=True)
-class BoundsReport:
-    crude_lower: float
-    sandwich_lo: float
-    sandwich_hi: float
-    ess_class: EssClass
-    ess_bottom: float
-    certificate: Optional[tuple[int, float]]
-    count_bound: Optional[int]
 
 
 def crude_lower_bound(sigma_hat: float) -> float:
@@ -133,30 +121,3 @@ def negative_count_bound(p: BoundaryPotential) -> Optional[int]:
         return None
     # level 1 is a positive root up to pi/L, or k = 0 (the eigenvalue 0) at sigma_hat*L = 2
     return 1 + sum(k < spec.kappa * (1 - 1e-12) for k in spec.positive_roots or (0.0,))
-
-
-def full_report(p: BoundaryPotential, n_max: int) -> BoundsReport:
-    sigma_hat = p.ess_sup()
-    crude = crude_lower_bound(sigma_hat)
-    lo, hi = ground_energy_sandwich(p)
-    klass, bottom = ess_spectrum_class(p)
-
-    try:
-        certificate = bound_state_certificate(p, n_max)
-    except InapplicableError:
-        certificate = None
-
-    try:
-        count = negative_count_bound(p)
-    except InapplicableError:
-        count = None
-
-    return BoundsReport(
-        crude_lower=crude,
-        sandwich_lo=lo,
-        sandwich_hi=hi,
-        ess_class=klass,
-        ess_bottom=bottom,
-        certificate=certificate,
-        count_bound=count,
-    )

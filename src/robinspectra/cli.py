@@ -25,7 +25,8 @@ from .analytic1d import constant_reference, interval_spectrum
 from .analysis import decay_fit, richardson
 from .certify import (
     bound_state_certificate,
-    full_report,
+    crude_lower_bound,
+    ess_spectrum_class,
     ground_energy_sandwich,
     kinetic_term,
     negative_count_bound,
@@ -315,34 +316,40 @@ class Runner:
     # ------------------------------------------------------------------ tasks
 
     def task_reference(self) -> None:
-        _, hi, sigma = self.cfg.potential.cells[0]
-        if not math.isinf(hi):
-            raise InapplicableError("reference task needs a constant potential")
-        ref = constant_reference(sigma)
+        ref = constant_reference(self.cfg.potential)
         write_json(
             self._record("reference.json"),
             {
-                "sigma": sigma,
+                "sigma": ref.sigma,
                 "ground_energy": ref.ground_energy,
                 "ess_bottom": ref.ess_bottom,
             },
         )
 
     def task_bounds(self) -> None:
-        report = full_report(self.cfg.potential, self.cfg.n_max)
+        p = self.cfg.potential
+        lo, hi = ground_energy_sandwich(p)
+        klass, bottom = ess_spectrum_class(p)
+        try:
+            certificate = bound_state_certificate(p, self.cfg.n_max)
+        except InapplicableError:
+            certificate = None
+        try:
+            count = negative_count_bound(p)
+        except InapplicableError:
+            count = None
         out = {
-            "crude_lower": report.crude_lower,
-            "sandwich_lo": report.sandwich_lo,
-            "sandwich_hi": report.sandwich_hi,
-            "ess_class": report.ess_class.value,
-            "ess_bottom": report.ess_bottom,
-            "count_bound_applicable": report.count_bound is not None,
+            "crude_lower": crude_lower_bound(p.ess_sup()),
+            "sandwich_lo": lo,
+            "sandwich_hi": hi,
+            "ess_class": klass.value,
+            "ess_bottom": bottom,
+            "count_bound_applicable": count is not None,
         }
-        if report.certificate is not None:
-            out["certificate_n"] = report.certificate[0]
-            out["certificate_q"] = report.certificate[1]
-        if report.count_bound is not None:
-            out["count_bound"] = report.count_bound
+        if certificate is not None:
+            out["certificate_n"], out["certificate_q"] = certificate
+        if count is not None:
+            out["count_bound"] = count
         write_json(self._record("bounds.json"), out)
 
     def task_certify(self) -> None:
@@ -423,10 +430,6 @@ class Runner:
 
     def task_decay(self) -> None:
         cfg = self.cfg
-        if not math.isfinite(cfg.potential.support_bound()):
-            raise InapplicableError(
-                "decay analysis requires a compactly supported potential"
-            )
         bc = OuterBC.DIRICHLET if OuterBC.DIRICHLET in cfg.bcs else cfg.bcs[0]
         res = self._solve_one(min(cfg.hs), bc)
         E = float(res.eigenvalues[0])

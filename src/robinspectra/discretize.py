@@ -23,7 +23,6 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -88,10 +87,6 @@ class DiscreteForm:
         norm = float(np.linalg.norm(self.scale * u))
         return u / norm
 
-    def weighted_norm(self, u: np.ndarray) -> float:
-        """Discrete L2 norm of nodal values (trapezoid mass)."""
-        return float(np.linalg.norm(self.scale * u))
-
 
 DECAY_MARGIN = 5.0
 
@@ -143,17 +138,3 @@ def assemble(p: BoundaryPotential, grid: Grid, outer_bc: OuterBC) -> DiscreteFor
         matrix=A, outer_bc=outer_bc, grid=grid, potential=p, scale=scale, n=n,
         t_diag=t_diag, t_off=t_off, robin=robin,
     )
-
-
-def inject_function(F: DiscreteForm, f: Callable[[float, float], float]) -> np.ndarray:
-    """Sample f at the grid nodes in row-major indexing order."""
-    n = F.n
-    coords = F.grid.coords(F.outer_bc)
-    out = np.empty(F.dimension)
-    for i, x in enumerate(coords):
-        for j, y in enumerate(coords):
-            val = f(float(x), float(y))
-            if not math.isfinite(val):
-                raise ValueError(f"non-finite sample at node ({i}, {j}) = ({x}, {y})")
-            out[i * n + j] = val
-    return out

@@ -57,6 +57,7 @@ B^{-1} U z for the null vector z of C: one backward basis change.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -157,10 +158,7 @@ def _certified_shift(F: DiscreteForm) -> float:
     T_c (x) I + I (x) T_c, so that operator minus the shift is positive
     definite.
     """
-    d = F.t_diag.copy()
-    d[0] += F.robin.min()
-    mu = eigh_tridiagonal(d, F.t_off, eigvals_only=True, select="i", select_range=(0, 0))
-    bound = 2.0 * float(mu[0])
+    bound = 2.0 * float(_basis(F, F.robin.min(), 1)[0][0])
     return bound - SHIFT_MARGIN * (1.0 + abs(bound))
 
 
@@ -244,25 +242,18 @@ def _basis_changes(F: DiscreteForm, Q: np.ndarray, c: float):
     N = F.grid.intervals
     kind, fft_len = (3, N) if F.outer_bc is OuterBC.DIRICHLET else (1, 2 * N)
     if not c and F.n >= DCT_MIN_NODES and next_fast_len(fft_len, real=True) == fft_len:
-        def forward(X):
-            return dctn(X, type=kind, norm="ortho")
-
-        def backward(W):
-            return idctn(W, type=kind, norm="ortho", overwrite_x=True)
-    else:
-        def forward(X):
-            return Q.T @ X @ Q
-
-        def backward(W):
-            return Q @ W @ Q.T
-    return forward, backward
+        return (
+            partial(dctn, type=kind, norm="ortho"),
+            partial(idctn, type=kind, norm="ortho", overwrite_x=True),
+        )
+    return (lambda X: Q.T @ X @ Q), (lambda W: Q @ W @ Q.T)
 
 
-def _shift_inverse(F: DiscreteForm, shift: float):
-    """x -> (A - shift*I)^{-1} x by fast diagonalisation plus a Woodbury
-    correction for D through the two capacitance sectors."""
+def _shift_inverse(F: DiscreteForm, shift: float, lam: np.ndarray, Q: np.ndarray):
+    """x -> (A - shift*I)^{-1} x by fast diagonalisation, given
+    lam, Q = _basis(F, F.robin[-1]), plus a Woodbury correction for D
+    through the two capacitance sectors."""
     n, c = F.n, F.robin[-1]
-    lam, Q = _basis(F, c)
     forward, backward = _basis_changes(F, Q, c)
     H = 1.0 / (lam[:, None] + lam[None, :] - shift)
     q0 = Q[0]
@@ -391,7 +382,7 @@ def lowest_eigenpairs(
     dim = A.shape[0]
     if not 1 <= k < dim - 1:
         raise ValueError(f"need 1 <= k < dimension-1, got k={k}, dim={dim}")
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise ValueError("tol must be positive")
     if method not in ("auto", "dense", "roots", "shift_invert"):
         raise ValueError(f"unknown method {method!r}")
@@ -431,7 +422,7 @@ def lowest_eigenpairs(
             shift = _certified_shift(F)
             if count:  # an exact count puts lo[0] below the lowest eigenvalue
                 shift = max(shift, lo[0] - SHIFT_MARGIN * (1.0 + abs(lo[0])))
-            solve = _shift_inverse(F, shift)
+            solve = _shift_inverse(F, shift, lam, Q)
 
             def opinv(x):
                 nonlocal applications
@@ -509,6 +500,8 @@ def count_below(F: DiscreteForm, tau: float) -> int:
     number of eigenvalues strictly below tau and that strictly below
     tau + 3e-10.
     """
+    if np.isnan(tau):
+        raise ValueError("tau must not be NaN")
     t = tau
     for attempt in range(4):
         for c in F.robin[-1] + np.array([0.0, 1.0 / F.grid.h]):

@@ -11,17 +11,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from robinspectra.analysis import decay_fit, l2_distance, richardson
+from nodal import constant_ground_state, l2_distance
+from robinspectra.analysis import decay_fit, richardson
 from robinspectra.analytic1d import (
+    _ground,
+    _levels,
     constant_reference,
-    interval_ground_kappa,
-    interval_positive_roots,
     kappa_residual,
     root_function,
 )
 from robinspectra.certify import bound_state_certificate, kinetic_term, negative_count_bound
 from robinspectra.cli import main
-from robinspectra.discretize import Grid, OuterBC, assemble, inject_function
+from robinspectra.discretize import Grid, OuterBC, assemble
 from robinspectra.eigensolve import count_below, lowest_eigenpairs
 from robinspectra.potential import Constant, PiecewiseConstant, Step
 
@@ -65,10 +66,10 @@ def _extrapolated(study):
 
 def test_criterion_1_constant_reference(constant_study, acceptance_record):
     extrap = _extrapolated(constant_study)
-    ref = constant_reference(1.0)
+    ref = constant_reference(Constant(1.0))
     res = constant_study[0.025]
     F = res.form
-    analytic = inject_function(F, ref.ground_state)
+    analytic = constant_ground_state(F, ref.sigma)
     dist = l2_distance(F, res.nodal(0), analytic)
     ok = abs(extrap - ref.ground_energy) <= 1e-3 and dist <= 1e-2
     acceptance_record(
@@ -184,19 +185,19 @@ def test_criterion_6_counting(acceptance_record):
 def test_criterion_7_transcendental(acceptance_record):
     ok = True
     for sigma_hat, L in [(0.3, 1.0), (1.0, 1.0), (2.0, 1.0), (0.9, 2.0)]:
-        kappa = interval_ground_kappa(sigma_hat, L)
+        kappa, _ = _ground(sigma_hat, L)
         ok = ok and abs(kappa_residual(kappa, sigma_hat, L)) < 1e-10
         if sigma_hat <= 2.0 / L:
-            for k in interval_positive_roots(sigma_hat, L, 12.0):
+            for k, _ in _levels(sigma_hat, L, 12.0):
                 ok = ok and abs(root_function(k, sigma_hat, L)) < 1e-10 * (
                     1 + sigma_hat**2 + k**2
                 )
-    roots = interval_positive_roots(1e-8, 1.0, 12.0)
+    roots = [k for k, _ in _levels(1e-8, 1.0, 12.0)]
     neumann = max(
         abs(k - (n + 1) * math.pi) for n, k in enumerate(roots[:3])
     )
     ok = ok and neumann <= 1e-4
-    halfline = abs(interval_ground_kappa(1.0, 50.0) - 1.0)
+    halfline = abs(_ground(1.0, 50.0)[0] - 1.0)
     ok = ok and halfline <= 1e-10
     acceptance_record(
         "7 1d transcendental solvers",
@@ -208,7 +209,7 @@ def test_criterion_7_transcendental(acceptance_record):
 def test_criterion_8_decay(step_study, acceptance_record):
     # analytic constant-sigma state on a potential-free grid
     F0 = assemble(Constant(0.0), Grid(12, 0.05), OuterBC.DIRICHLET)
-    v0 = inject_function(F0, lambda x, y: 2.0 * math.exp(-(x + y)))
+    v0 = constant_ground_state(F0, 1.0)
     diag = decay_fit(F0, v0, -2.0, (1, 1), 3.0, 9.0, with_prefactor=False)
     axis = decay_fit(F0, v0, -2.0, (1, 0), 3.0, 9.0, with_prefactor=False)
     ok = abs(diag.slope + math.sqrt(2.0)) <= 1e-6 and abs(axis.slope + 1.0) <= 1e-6

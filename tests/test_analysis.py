@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.interpolate import RegularGridInterpolator
 
-from robinspectra.analysis import decay_fit, l2_distance, richardson
-from robinspectra.discretize import Grid, OuterBC, assemble, inject_function
+from nodal import constant_ground_state, l2_distance
+from robinspectra.analysis import decay_fit, richardson
+from robinspectra.discretize import Grid, OuterBC, assemble
 from robinspectra.eigensolve import lowest_eigenpairs
 from robinspectra.errors import InapplicableError, NoAsymptoticRegimeError, UnderflowWindowError
 from robinspectra.potential import Constant, Step
@@ -27,7 +28,7 @@ def test_positivity_of_computed_states():
 def analytic_state():
     F = assemble(Constant(0.0), Grid(12, 0.1), OuterBC.DIRICHLET)
     # exp(-(x+y)) decays like exp(-sqrt(2) r) on the diagonal, exp(-r) on axes
-    v = inject_function(F, lambda x, y: math.exp(-(x + y)))
+    v = constant_ground_state(F, 1.0) / 2
     return F, v
 
 
@@ -70,6 +71,9 @@ def test_decay_fit_window_validation(analytic_state):
         decay_fit(F, v, -2.0, (1, -1), 3.0, 9.0)
     with pytest.raises(InapplicableError):
         decay_fit(F, v, 1.0, (1, 1), 3.0, 9.0)  # positive energy
+    Fc = assemble(Constant(1.0), Grid(12, 0.1), OuterBC.DIRICHLET)
+    with pytest.raises(InapplicableError, match="compactly supported"):
+        decay_fit(Fc, v, -2.0, (1, 1), 3.0, 9.0)  # infinite support
     Fs = assemble(Step(1, 1), Grid(12, 0.1), OuterBC.DIRICHLET)
     with pytest.raises(ValueError, match="support_bound"):
         decay_fit(Fs, v, -1.0, (1, 1), 1.5, 9.0)
@@ -79,7 +83,7 @@ def test_decay_fit_window_validation(analytic_state):
 
 def test_decay_fit_underflow(analytic_state):
     F, _ = analytic_state
-    tiny = inject_function(F, lambda x, y: math.exp(-4 * (x + y)))
+    tiny = constant_ground_state(F, 4.0) / 8
     with pytest.raises(UnderflowWindowError):
         decay_fit(F, tiny, -2.0, (1, 1), 3.0, 9.0)
 

@@ -5,24 +5,35 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from robinspectra.analytic1d import (
+    _ground,
+    _levels,
     constant_reference,
-    interval_ground_kappa,
-    interval_positive_roots,
     interval_spectrum,
     kappa_residual,
     root_function,
 )
 from robinspectra.errors import InapplicableError
+from robinspectra.potential import Constant, Step
+
+
+def interval_ground_kappa(sigma_hat, L):
+    return _ground(sigma_hat, L)[0]
+
+
+def interval_positive_roots(sigma_hat, L, k_max):
+    return [k for k, _ in _levels(sigma_hat, L, k_max)]
 
 
 def test_constant_reference():
-    ref = constant_reference(1.0)
+    ref = constant_reference(Constant(1.0))
     assert ref.ground_energy == -2
     assert ref.ess_bottom == -1
-    assert ref.ground_state(0, 0) == 2
-    assert ref.ground_state(1, 1) == pytest.approx(2 * math.exp(-2))
     # twice the half-line bound state energy -sigma**2
     assert ref.ground_energy == 2 * -(1.0**2)
+    with pytest.raises(InapplicableError, match="constant potential"):
+        constant_reference(Step(1, 1))
+    with pytest.raises(InapplicableError, match="sigma > 0"):
+        constant_reference(Constant(-1.0))
 
 
 def test_interval_ground_kappa_examples():

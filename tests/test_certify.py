@@ -8,7 +8,6 @@ from robinspectra.certify import (
     bound_state_certificate,
     crude_lower_bound,
     ess_spectrum_class,
-    full_report,
     ground_energy_sandwich,
     kinetic_term,
     negative_count_bound,
@@ -149,31 +148,3 @@ def test_negative_count_bound_monotone_in_L():
     counts = [negative_count_bound(Step(sigma_hat, L)) for L in (0.5, 1, 2, 4)]
     assert all(c is not None for c in counts)
     assert all(a <= b for a, b in zip(counts, counts[1:]))
-
-
-def test_full_report_constant():
-    rep = full_report(Constant(1.0), 40)
-    assert rep.crude_lower == -32
-    assert (rep.sandwich_lo, rep.sandwich_hi) == (-2, -2)
-    assert rep.ess_class is EssClass.CONSTANT_POSITIVE
-    assert rep.certificate is None
-    assert rep.count_bound is None
-
-
-def test_full_report_step():
-    rep = full_report(Step(1, 1), 40)
-    assert rep.crude_lower == -32
-    assert rep.sandwich_hi == pytest.approx(-2 + 4 * math.exp(-2))
-    assert rep.ess_class is EssClass.NON_POSITIVE_TAIL
-    assert rep.certificate is not None
-    assert rep.certificate[1] < 0
-    assert rep.count_bound == 1
-
-
-def test_full_report_zero_potential():
-    rep = full_report(Step(0, 1), 40)
-    assert rep.crude_lower == 0
-    assert (rep.sandwich_lo, rep.sandwich_hi) == (0, 0)
-    assert rep.ess_class is EssClass.NON_POSITIVE_TAIL
-    assert rep.certificate is None
-    assert rep.count_bound is None

@@ -262,7 +262,7 @@ def test_main_exit_code_table(tmp_path, monkeypatch, capsys, exc, code):
     def fail(*args, **kwargs):
         raise exc("boom")
 
-    monkeypatch.setattr(cli, "full_report", fail)
+    monkeypatch.setattr(cli, "ground_energy_sandwich", fail)
     path = write_cfg(tmp_path, base_config())
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == code
     assert capsys.readouterr().err.rstrip().endswith(": boom")
@@ -280,6 +280,40 @@ def test_run_bounds_and_manifest(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest["outputs"]) == {"bounds.json"}
     assert len(manifest["outputs"]["bounds.json"]) == 64
+
+
+def _bounds_json(tmp_path, potential):
+    path = write_cfg(tmp_path, base_config(potential=potential))
+    assert main(["bounds", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    return json.loads((tmp_path / "o" / "bounds.json").read_text())
+
+
+def test_bounds_json_constant(tmp_path):
+    bounds = _bounds_json(tmp_path, {"kind": "constant", "sigma": 1.0})
+    assert bounds["crude_lower"] == -32
+    assert (bounds["sandwich_lo"], bounds["sandwich_hi"]) == (-2, -2)
+    assert bounds["ess_class"] == "ConstantPositive"
+    assert "certificate_n" not in bounds and "certificate_q" not in bounds
+    assert "count_bound" not in bounds and bounds["count_bound_applicable"] is False
+
+
+def test_bounds_json_step(tmp_path):
+    bounds = _bounds_json(tmp_path, {"kind": "step", "sigma": 1.0, "L": 1.0})
+    assert bounds["crude_lower"] == -32
+    assert bounds["sandwich_hi"] == pytest.approx(-2 + 4 * math.exp(-2))
+    assert bounds["ess_class"] == "NonPositiveTail"
+    assert "certificate_n" in bounds
+    assert bounds["certificate_q"] < 0
+    assert bounds["count_bound"] == 1
+
+
+def test_bounds_json_zero_potential(tmp_path):
+    bounds = _bounds_json(tmp_path, {"kind": "step", "sigma": 0.0, "L": 1.0})
+    assert bounds["crude_lower"] == 0
+    assert (bounds["sandwich_lo"], bounds["sandwich_hi"]) == (0, 0)
+    assert bounds["ess_class"] == "NonPositiveTail"
+    assert "certificate_n" not in bounds and "certificate_q" not in bounds
+    assert "count_bound" not in bounds and bounds["count_bound_applicable"] is False
 
 
 def test_run_solve_bracket_and_richardson(tmp_path):

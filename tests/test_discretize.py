@@ -6,7 +6,8 @@ import scipy.sparse as sp
 from scipy.linalg import eigh
 
 from robinspectra.analysis import richardson
-from robinspectra.discretize import Grid, OuterBC, assemble, inject_function
+from nodal import constant_ground_state
+from robinspectra.discretize import Grid, OuterBC, assemble
 from robinspectra.eigensolve import lowest_eigenpairs
 from robinspectra.potential import Constant, PiecewiseConstant, Step, Tabulated
 
@@ -147,7 +148,7 @@ def _quotient(A, w):
 
 def test_rayleigh_of_injected_ground_state():
     F = assemble(Constant(1.0), Grid(12, 0.05), OuterBC.DIRICHLET)
-    v = inject_function(F, lambda x, y: 2 * math.exp(-(x + y)))
+    v = constant_ground_state(F, 1.0)
     assert abs(_quotient(F.matrix, F.scale * v) + 2) < 0.01
 
 
@@ -168,20 +169,6 @@ def test_zero_potential_rayleigh_nonnegative():
     for _ in range(5):
         v = rng.standard_normal(F.dimension)
         assert _quotient(F.matrix, v) >= -1e-12
-
-
-def test_inject_function():
-    F = assemble(Constant(0.0), Grid(3, 0.5), OuterBC.NEUMANN)
-    ones = inject_function(F, lambda x, y: 1.0)
-    assert np.all(ones == 1.0)
-    v = inject_function(F, lambda x, y: 2 * math.exp(-(x + y)))
-    assert v[0] == 2.0
-    n = F.n
-    h = F.grid.h
-    i, j = 2, 3
-    assert v[i * n + j] == pytest.approx(2 * math.exp(-(i * h + j * h)))
-    with pytest.raises(ValueError, match="node"):
-        inject_function(F, lambda x, y: math.inf if x == 0 and y == 0 else 1.0)
 
 
 def test_outer_bc_bracketing_dense():

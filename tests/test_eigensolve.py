@@ -161,7 +161,7 @@ def test_capacitance_breakdown_at_an_eigenvalue():
     F = assemble(TAIL, Grid(4, 0.2), OuterBC.DIRICHLET)
     lam0 = eigh(F.matrix.toarray(), eigvals_only=True)[0]
     with pytest.raises(FactorizationError, match="capacitance"):
-        _shift_inverse(F, lam0)
+        _shift_inverse(F, lam0, *_basis(F, F.robin[-1]))
 
 
 def test_shift_inverse_solves_shifted_system(structured_form, transforms):
@@ -169,7 +169,7 @@ def test_shift_inverse_solves_shifted_system(structured_form, transforms):
     shift = _certified_shift(F)
     x = np.random.default_rng(3).standard_normal(F.dimension)
     for kind in transforms(F):
-        y = _shift_inverse(F, shift)(x)
+        y = _shift_inverse(F, shift, *_basis(F, F.robin[-1]))(x)
         assert np.linalg.norm(F.matrix @ y - shift * y - x) < 1e-10 * np.linalg.norm(x), kind
 
 
@@ -181,7 +181,7 @@ def test_non_smooth_fft_length_keeps_the_dense_products(bc, monkeypatch):
     calls = _spy_on_dctn(monkeypatch)
     shift = _certified_shift(F)
     x = np.random.default_rng(3).standard_normal(F.dimension)
-    y = _shift_inverse(F, shift)(x)
+    y = _shift_inverse(F, shift, *_basis(F, F.robin[-1]))(x)
     assert not calls
     assert np.linalg.norm(F.matrix @ y - shift * y - x) < 1e-10 * np.linalg.norm(x)
 
@@ -581,6 +581,11 @@ def test_bad_arguments(small_step_form):
         lowest_eigenpairs(small_step_form, 2, tol=-1)
     with pytest.raises(ValueError):
         lowest_eigenpairs(small_step_form, 2, method="magic")
+    with pytest.raises(ValueError, match="tol"):
+        lowest_eigenpairs(small_step_form, 1, tol=float("nan"))
+    for F in (small_step_form, assemble(Constant(1.0), Grid(4, 0.2), OuterBC.DIRICHLET)):
+        with pytest.raises(ValueError, match="NaN"):
+            count_below(F, float("nan"))
 
 
 # Lanczos returns the k lowest eigenvalues, none skipped and every copy of a
