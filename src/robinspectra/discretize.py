@@ -5,7 +5,7 @@ carry the transverse 1D trapezoid weight w1 (1/2 at y = 0 and, for outer
 Neumann, at y = R), the edges to an eliminated outer Dirichlet layer are
 kept, and the boundary strength is sampled at the boundary nodes with half
 weight at the corner.  Scaling the stiffness K by the lumped mass
-M = h^2 (w1 x w1) gives the matrix stored in :class:`DiscreteForm`,
+M = h^2 (w1 x w1) gives the operator A of :class:`DiscreteForm`,
 
     A = M^{-1/2} K M^{-1/2} = T (x) I + I (x) T + D_Gamma,
 
@@ -15,7 +15,9 @@ node and at an outer Neumann node), and D_Gamma is diagonal with
 -2*sigma(y)/h at each node of the Robin edges x = 0 and y = 0; the corner
 gets both edges' terms.  A is exactly symmetric, has at most five nonzeros
 per row, and shares its spectrum with the ghost-node-eliminated 5-point
-operator.  Nodal vectors u and solver vectors w are related by w = scale*u.
+operator.  The form keeps T's diagonals and the Robin vector, applies A as
+a stencil, and builds A's CSR matrix only when something reads it.  Nodal
+vectors u and solver vectors w are related by w = scale*u.
 """
 from __future__ import annotations
 
@@ -23,9 +25,9 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .potential import BoundaryPotential
 
@@ -67,7 +69,6 @@ class Grid:
 
 @dataclass(frozen=True)
 class DiscreteForm:
-    matrix: sp.csr_matrix = field(repr=False)
     outer_bc: OuterBC
     grid: Grid
     potential: BoundaryPotential
@@ -81,6 +82,43 @@ class DiscreteForm:
     def dimension(self) -> int:
         return self.n * self.n
 
+    @cached_property
+    def _diagonal(self) -> np.ndarray:
+        """A's diagonal as an n x n array; the corner gets both edges' Robin terms."""
+        gamma = np.zeros((self.n, self.n))
+        gamma[0, :] += self.robin
+        gamma[:, 0] += self.robin
+        return self.t_diag[:, None] + self.t_diag[None, :] + gamma
+
+    @cached_property
+    def matrix(self):
+        """A as CSR, built on first use; the dense path, tests and the layer trace read it."""
+        import scipy.sparse as sp
+
+        # The five diagonals of T (x) I + I (x) T + D_Gamma: T's off-diagonal
+        # within each block of n (zero across block boundaries) and between
+        # blocks.  The conversion to CSR stores no zero, so neither those block
+        # boundaries nor a diagonal entry that cancels to 0 is stored.
+        n = self.n
+        within = np.tile(np.append(self.t_off, 0.0), n)[:-1]
+        between = np.repeat(self.t_off, n)
+        diag = self._diagonal.ravel()
+        return sp.diags([between, within, diag, within, between], [-n, -1, 0, 1, n], format="csr")
+
+    def apply(self, w: np.ndarray) -> np.ndarray:
+        """A @ w as a stencil on the n x n grid; the CSR is not read."""
+        # Terms are summed in the CSR row's column order (i-1, j-1, diagonal,
+        # j+1, i+1), so the result equals matrix @ w bit for bit.
+        W = w.reshape(self.n, self.n)
+        off = self.t_off
+        Y = np.zeros_like(W)
+        Y[1:] += off[:, None] * W[:-1]
+        Y[:, 1:] += off * W[:, :-1]
+        Y += self._diagonal * W
+        Y[:, :-1] += off * W[:, 1:]
+        Y[:-1] += off[:, None] * W[1:]
+        return Y.ravel()
+
     def to_nodal(self, w: np.ndarray) -> np.ndarray:
         """Convert a solver-basis vector to nodal values (unit weighted-L2)."""
         u = w / self.scale
@@ -92,7 +130,7 @@ DECAY_MARGIN = 5.0
 
 
 def assemble(p: BoundaryPotential, grid: Grid, outer_bc: OuterBC) -> DiscreteForm:
-    """Assemble the mass-scaled symmetric form matrix for potential p."""
+    """Assemble the mass-scaled symmetric form for potential p."""
     sigma_hat = p.ess_sup()
     support = p.support_bound()
     if sigma_hat > 0 and math.isfinite(support):
@@ -119,22 +157,11 @@ def assemble(p: BoundaryPotential, grid: Grid, outer_bc: OuterBC) -> DiscreteFor
     t_off = -d[:-1] * d[1:]
     t_diag = 2.0 * w1 * d * d
 
-    # Robin terms -2*sigma/h on the edges x = 0 and y = 0; the corner gets both.
+    # Robin term -2*sigma(y_j)/h per edge node j.
     robin = -2.0 * p.eval(grid.coords(outer_bc)) / h
-    gamma = np.zeros((n, n))
-    gamma[0, :] += robin
-    gamma[:, 0] += robin
-    # The five diagonals of T (x) I + I (x) T + D_Gamma: T's off-diagonal
-    # within each block of n (zero across block boundaries) and between
-    # blocks.  The conversion to CSR stores no zero, so neither those block
-    # boundaries nor a diagonal entry that cancels to 0 is stored.
-    diag = (t_diag[:, None] + t_diag[None, :] + gamma).ravel()
-    within = np.tile(np.append(t_off, 0.0), n)[:-1]
-    between = np.repeat(t_off, n)
-    A = sp.diags([between, within, diag, within, between], [-n, -1, 0, 1, n], format="csr")
 
     scale = h * np.sqrt(np.outer(w1, w1).ravel())
     return DiscreteForm(
-        matrix=A, outer_bc=outer_bc, grid=grid, potential=p, scale=scale, n=n,
+        outer_bc=outer_bc, grid=grid, potential=p, scale=scale, n=n,
         t_diag=t_diag, t_off=t_off, robin=robin,
     )

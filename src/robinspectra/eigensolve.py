@@ -62,7 +62,8 @@ from functools import partial
 import numpy as np
 import scipy.sparse.linalg as spla
 from scipy.fft import dctn, idctn, next_fast_len
-from scipy.linalg import eigh, eigh_tridiagonal, eigvalsh, get_lapack_funcs, lu_factor
+from scipy.linalg import eigh, eigh_tridiagonal, eigvalsh, eigvalsh_tridiagonal
+from scipy.linalg import get_lapack_funcs, lu_factor
 
 from .discretize import DiscreteForm, OuterBC
 from .errors import ConvergenceError, FactorizationError
@@ -158,13 +159,16 @@ def _certified_shift(F: DiscreteForm) -> float:
     T_c (x) I + I (x) T_c, so that operator minus the shift is positive
     definite.
     """
-    bound = 2.0 * float(_basis(F, F.robin.min(), 1)[0][0])
+    bound = 2.0 * float(_basis(F, F.robin.min(), 1, vectors=False)[0][0])
     return bound - SHIFT_MARGIN * (1.0 + abs(bound))
 
 
-def _basis(F: DiscreteForm, c: float, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _basis(
+    F: DiscreteForm, c: float, k: int | None = None, vectors: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
     """T_c = T + c*e0*e0^T's eigenvalues, ascending, and orthonormal
-    eigenvectors; when k is given, at least the min(k, n) lowest.
+    eigenvectors (None unless vectors); when k is given, at least the
+    min(k, n) lowest.
 
     For c != 0 they come from eigh_tridiagonal.  For c = 0,
     theta_m = a_m*pi/(2N) with a_m = 2m + 1 (outer Dirichlet) or 2m (outer
@@ -175,13 +179,16 @@ def _basis(F: DiscreteForm, c: float, k: int | None = None) -> tuple[np.ndarray,
     if c:
         t_diag = F.t_diag.copy()
         t_diag[0] += c
-        if k is None or k >= F.n:
-            return eigh_tridiagonal(t_diag, F.t_off)
-        return eigh_tridiagonal(t_diag, F.t_off, select="i", select_range=(0, k - 1))
+        select = {} if k is None or k >= F.n else {"select": "i", "select_range": (0, k - 1)}
+        if not vectors:
+            return eigvalsh_tridiagonal(t_diag, F.t_off, **select), None
+        return eigh_tridiagonal(t_diag, F.t_off, **select)
     n, N, h = F.n, F.grid.intervals, F.grid.h
     dirichlet = F.outer_bc is OuterBC.DIRICHLET
     a = 2 * np.arange(n) + dirichlet
     lam = (2.0 * np.sin(np.pi * a / (4 * N)) / h) ** 2
+    if not vectors:
+        return lam, None
     cos = np.cos(np.pi / (2 * N) * np.arange(4 * N))
     # sqrt of the trapezoid weight on the rows, and on the columns for DCT-I
     w = np.ones(n)
@@ -363,7 +370,7 @@ def _bound_states(F: DiscreteForm, k: int, lam: np.ndarray, Q: np.ndarray):
 def lowest_eigenpairs(
     F: DiscreteForm, k: int, tol: float = 1e-8, method: str = "auto"
 ) -> SpectralResult:
-    """The k algebraically smallest eigenpairs of F.matrix.
+    """The k algebraically smallest eigenpairs of A.
 
     method: "auto", "dense", "roots" or "shift_invert".  "auto" takes dense
     eigh when the dimension is at most DENSE_LIMIT or when the Lanczos basis
@@ -378,8 +385,7 @@ def lowest_eigenpairs(
     clamp the basis to the dimension.  SpectralResult.method and .shift
     record the path taken.
     """
-    A = F.matrix
-    dim = A.shape[0]
+    dim = F.dimension
     if not 1 <= k < dim - 1:
         raise ValueError(f"need 1 <= k < dimension-1, got k={k}, dim={dim}")
     if not tol > 0:  # NaN too
@@ -395,7 +401,7 @@ def lowest_eigenpairs(
     applications = 0
     shift = None
     if method == "dense":
-        vals, vecs = eigh(A.toarray())
+        vals, vecs = eigh(F.matrix.toarray())
         vals, vecs = vals[:k], vecs[:, :k]
     elif method == "auto" and np.all(F.robin == F.robin[-1]):
         method = "pairs"
@@ -435,7 +441,7 @@ def lowest_eigenpairs(
             v0 /= np.linalg.norm(v0)
             try:
                 vals, vecs = spla.eigsh(
-                    A,
+                    spla.LinearOperator((dim, dim), matvec=F.apply, dtype=float),
                     k=k,
                     sigma=shift,
                     which="LM",
@@ -443,7 +449,7 @@ def lowest_eigenpairs(
                     ncv=ncv,
                     maxiter=MAX_ITER,
                     tol=0,
-                    OPinv=spla.LinearOperator(A.shape, matvec=opinv, dtype=float),
+                    OPinv=spla.LinearOperator((dim, dim), matvec=opinv, dtype=float),
                 )
             except spla.ArpackError as exc:
                 raise ConvergenceError(f"shift-invert iteration failed: {exc}") from exc
@@ -460,7 +466,7 @@ def lowest_eigenpairs(
         vecs[:, i] = w
 
     residuals = np.array(
-        [np.linalg.norm(A @ vecs[:, i] - vals[i] * vecs[:, i]) for i in range(k)]
+        [np.linalg.norm(F.apply(vecs[:, i]) - vals[i] * vecs[:, i]) for i in range(k)]
     )
     conv = tuple(bool(r <= tol * (1 + abs(l))) for r, l in zip(residuals, vals))
     if not all(conv):
@@ -505,11 +511,14 @@ def count_below(F: DiscreteForm, tau: float) -> int:
     t = tau
     for attempt in range(4):
         for c in F.robin[-1] + np.array([0.0, 1.0 / F.grid.h]):
-            lam, Q = _basis(F, c)
+            robin = F.robin - c
+            lam, Q = _basis(F, c, vectors=robin.any())
             S = lam[:, None] + lam[None, :] - t
             if np.abs(S).min() < SINGULAR_RTOL * np.abs(S).max():
                 continue  # B is singular at t: try the next split
-            _, d, sectors = _capacitance(F.robin - c, Q, 1.0 / S)
+            if Q is None:  # J is empty: A - t = B
+                return int(np.sum(S < 0))
+            _, d, sectors = _capacitance(robin, Q, 1.0 / S)
             mu = np.concatenate([eigvalsh(C, check_finite=False) for C in sectors])
             if mu.size and np.abs(mu).min() < SINGULAR_RTOL * np.abs(mu).max():
                 break  # A - t is singular: move t

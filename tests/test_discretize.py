@@ -98,6 +98,7 @@ def test_robin_sampling_matches_per_node_scan(p, bc):
 )
 def test_matrix_matches_kronsum_reference(p, h, bc):
     F = assemble(p, Grid(4, h), bc)
+    assert "matrix" not in vars(F)  # built on first use
     T = sp.diags([F.t_off, F.t_diag, F.t_off], [-1, 0, 1])
     gamma = np.zeros((F.n, F.n))
     gamma[0, :] += F.robin
@@ -107,6 +108,8 @@ def test_matrix_matches_kronsum_reference(p, h, bc):
     assert type(A) is type(ref) and A.indices.dtype == ref.indices.dtype == np.int32
     for name in ("indptr", "indices", "data"):  # bitwise
         assert np.array_equal(getattr(A, name), getattr(ref, name)), name
+    for w in np.random.default_rng(3).standard_normal((3, F.dimension)):
+        assert np.array_equal(F.apply(w), A @ w)  # bitwise
 
 
 def test_at_most_five_nonzeros_per_row():

@@ -523,12 +523,13 @@ def test_count_below_matches_superlu_on_sweep_grid():
 
 @pytest.mark.parametrize("bc", list(OuterBC))
 @pytest.mark.parametrize("sigma", [0.5, 1.0, 5.0])
-def test_count_below_on_separable_forms(sigma, bc):
-    # J is empty: the count is the number of pair sums below tau.  The
-    # oracle's LU without row interchanges meets a zero pivot on the strong
-    # edge sigma = 5, so it checks the two weaker ones.
+def test_count_below_on_separable_forms(sigma, bc, monkeypatch):
+    # J is empty: the count is the number of pair sums below tau, from T_c's
+    # eigenvalues alone.  The oracle's LU without row interchanges meets a
+    # zero pivot on the strong edge sigma = 5, so it checks the two weaker ones.
     F = assemble(Constant(sigma), Grid(2, 0.2), bc)
     vals = eigh(F.matrix.toarray(), eigvals_only=True)
+    monkeypatch.setattr(eigensolve, "eigh_tridiagonal", None)  # no eigenvectors
     gaps = np.flatnonzero(np.diff(vals) > 1e-6)[::5]
     for tau in (0.0, vals[0] - 1.0, *((vals[gaps] + vals[gaps + 1]) / 2)):
         assert count_below(F, tau) == int(np.sum(vals < tau)), tau
@@ -547,6 +548,17 @@ def test_count_below_consistent_with_negative_count(small_step_form):
     res = lowest_eigenpairs(small_step_form, 6)
     if res.eigenvalues[-1] > 0:
         assert count_below(small_step_form, 0.0) == res.negative_count
+
+
+@pytest.mark.parametrize(
+    "p, method",
+    [(Constant(1.0), "pairs"), (Step(1, 1), "roots"), (Step(1, 1), "shift_invert")],
+)
+def test_solve_paths_build_no_matrix(p, method):
+    F = assemble(p, Grid(4, 0.2), OuterBC.DIRICHLET)
+    res = lowest_eigenpairs(F, 1, method="auto" if method == "pairs" else method)
+    assert res.method == method
+    assert "matrix" not in vars(F)
 
 
 def test_residual_op(small_step_form):
