@@ -32,8 +32,7 @@ class ConvergenceError(RobinSpectraError):
 
 class FactorizationError(RobinSpectraError):
     """A factorization broke down: the inertia count's capacitance matrix
-    stays singular when tau is perturbed, or the shift-invert capacitance
-    matrix is singular because the shift touches the spectrum."""
+    stays singular when tau is perturbed."""
 
 
 class UnderflowWindowError(RobinSpectraError):

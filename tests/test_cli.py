@@ -600,12 +600,13 @@ def test_entry_point_defaults_blas_to_one_thread(preset):
 
 def test_cli_imports_neither_scipy_integrate_nor_interpolate():
     # the solver needs neither, and together they were most of a fresh import;
-    # multiprocessing loads only when a sweep runs on more than one worker
+    # scipy.sparse loads only when something reads DiscreteForm.matrix, and
+    # multiprocessing only when a sweep runs on more than one worker
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     code = (
         "import sys, robinspectra.cli; "
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate', 'multiprocessing') "
-        "if m in sys.modules))"
+        "print(sorted(m for m in sys.modules if m.startswith("
+        "('scipy.integrate', 'scipy.interpolate', 'scipy.sparse', 'multiprocessing'))))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

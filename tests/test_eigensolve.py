@@ -2,17 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy.fft import dctn
+from scipy.fft import idctn
 from scipy.linalg import eigh, eigh_tridiagonal
 
 from robinspectra import eigensolve
 from robinspectra.certify import crude_lower_bound
 from robinspectra.discretize import Grid, OuterBC, assemble
 from robinspectra.eigensolve import (
-    SHIFT_MARGIN,
     _basis,
     _certified_shift,
-    _shift_inverse,
     count_below,
     lowest_eigenpairs,
 )
@@ -46,15 +44,16 @@ def test_constant_sigma_reference_value():
 
 def test_sparse_matches_dense(small_step_form):
     F = small_step_form
-    sparse = lowest_eigenpairs(F, 4, method="shift_invert")
+    sparse = lowest_eigenpairs(F, 4)
     dense = lowest_eigenpairs(F, 4, method="dense")
+    assert sparse.method == "roots"
     assert np.abs(sparse.eigenvalues - dense.eigenvalues).max() < 1e-9
 
 
 # sigma = 2 on [0, 1) and 1 beyond: no cosine basis, and J != {}
 TAIL = BoundaryPotential(((0, 1, 2), (1, math.inf, 1)))
 
-# Forms that exercise each branch of the structured shift-invert solve.
+# Forms that exercise each branch of the capacitance matrix and the basis.
 STRUCTURED_FORMS = {
     # outer Neumann keeps the node at R, so T's last diagonal entry is halved
     "neumann_step": (Step(1, 1), OuterBC.NEUMANN),
@@ -81,31 +80,33 @@ def structured_form(request):
     return F, eigh(F.matrix.toarray(), eigvals_only=True)
 
 
-def _spy_on_dctn(monkeypatch):
+def _spy_on_idctn(monkeypatch):
     calls = []
 
     def spy(*args, **kwargs):
         calls.append(kwargs["type"])
-        return dctn(*args, **kwargs)
+        return idctn(*args, **kwargs)
 
-    monkeypatch.setattr(eigensolve, "dctn", spy)
+    monkeypatch.setattr(eigensolve, "idctn", spy)
     return calls
 
 
 @pytest.fixture
 def transforms(monkeypatch):
-    """The shift-inverse's two basis changes in turn: the cosine transform
-    at any size, then the two dense products at every size.  A form whose
-    sigma does not vanish at the last node (c != 0) has no cosine basis, so
-    it takes the dense products both times."""
+    """The backward basis change in turn: the cosine transform at any size,
+    then the two dense products at every size.  A form whose sigma does not
+    vanish at the last node (c != 0) has no cosine basis, so it takes the
+    dense products both times, and a form with J empty (the pair sums)
+    needs no basis change."""
 
     def each(F):
         for kind in ("dct", "gemm"):
             monkeypatch.setattr(eigensolve, "DCT_MIN_NODES", 0 if kind == "dct" else math.inf)
-            calls = _spy_on_dctn(monkeypatch)
+            calls = _spy_on_idctn(monkeypatch)
             yield kind
             # Grid(4, 0.2) has N = 20: both FFT lengths, 20 and 40, are 5-smooth
-            assert bool(calls) == (kind == "dct" and F.robin[-1] == 0), kind
+            roots = not np.all(F.robin == F.robin[-1])
+            assert bool(calls) == (kind == "dct" and F.robin[-1] == 0 and roots), kind
 
     return each
 
@@ -138,11 +139,13 @@ def test_basis_diagonalises_T_c(k):
 
 
 def test_shift_invert_matches_dense_eigh(structured_form, transforms):
+    # "auto" on every structured form, where shift-invert Lanczos once ran:
+    # the pair sums for J empty, the roots past the pair sums otherwise
     F, dense = structured_form
     for kind in transforms(F):
-        res = lowest_eigenpairs(F, 4, method="shift_invert")
+        res = lowest_eigenpairs(F, 4)
+        assert res.method == ("pairs" if np.all(F.robin == F.robin[-1]) else "roots")
         assert np.abs(res.eigenvalues - dense[:4]).max() < 1e-9, kind
-        assert res.applications > 0
 
 
 def test_certified_shift_strictly_below_spectrum(structured_form):
@@ -157,64 +160,26 @@ def test_certified_shift_tight_for_constant_sigma():
     assert 0 < lam0 - _certified_shift(F) < 1e-2
 
 
-def test_capacitance_breakdown_at_an_eigenvalue():
-    F = assemble(TAIL, Grid(4, 0.2), OuterBC.DIRICHLET)
-    lam0 = eigh(F.matrix.toarray(), eigvals_only=True)[0]
-    with pytest.raises(FactorizationError, match="capacitance"):
-        _shift_inverse(F, lam0, *_basis(F, F.robin[-1]))
-
-
-def test_shift_inverse_solves_shifted_system(structured_form, transforms):
-    F, _ = structured_form
-    shift = _certified_shift(F)
-    x = np.random.default_rng(3).standard_normal(F.dimension)
-    for kind in transforms(F):
-        y = _shift_inverse(F, shift, *_basis(F, F.robin[-1]))(x)
-        assert np.linalg.norm(F.matrix @ y - shift * y - x) < 1e-10 * np.linalg.norm(x), kind
-
-
 @pytest.mark.parametrize("bc", list(OuterBC))
 def test_non_smooth_fft_length_keeps_the_dense_products(bc, monkeypatch):
     # N = 41 is prime, so neither FFT length (41, 82) is 5-smooth
     F = assemble(Step(1, 1), Grid(4.1, 0.1), bc)
     monkeypatch.setattr(eigensolve, "DCT_MIN_NODES", 0)
-    calls = _spy_on_dctn(monkeypatch)
-    shift = _certified_shift(F)
-    x = np.random.default_rng(3).standard_normal(F.dimension)
-    y = _shift_inverse(F, shift, *_basis(F, F.robin[-1]))(x)
+    calls = _spy_on_idctn(monkeypatch)
+    res = lowest_eigenpairs(F, 3, method="roots")
     assert not calls
-    assert np.linalg.norm(F.matrix @ y - shift * y - x) < 1e-10 * np.linalg.norm(x)
+    assert np.all(res.residuals <= 1e-10 * (1 + np.abs(res.eigenvalues)))
 
 
-def test_dense_path_counts_no_applications(small_step_form):
-    assert lowest_eigenpairs(small_step_form, 2, method="dense").applications == 0
-
-
-# dense from k > dim/6 - 5 = 61.7 at dim = 400
-@pytest.mark.parametrize("k, shift_invert", [(3, True), (61, True), (62, False), (150, False)])
-def test_auto_selects_by_dimension_and_basis(small_step_form, k, shift_invert):
+# dense from k > 2*(dim/DENSE_LIMIT)^2.3 = 48.5 at dim = 400
+@pytest.mark.parametrize("k, roots", [(3, True), (48, True), (49, False), (62, False), (150, False)])
+def test_auto_selects_by_dimension_and_basis(small_step_form, k, roots):
     F = small_step_form
     assert F.dimension == 400
     res = lowest_eigenpairs(F, k)
-    assert (res.applications > 0) == shift_invert
+    assert res.method == ("roots" if roots else "dense")
     dense = eigh(F.matrix.toarray(), eigvals_only=True)[:k]
     assert np.abs(res.eigenvalues - dense).max() < 1e-9 * (1 + np.abs(dense).max())
-
-
-def test_shift_invert_refuses_a_basis_over_half_the_dimension():
-    F = assemble(Step(1, 1), Grid(2, 0.2), OuterBC.DIRICHLET)
-    assert F.dimension == 100
-    with pytest.raises(ValueError, match=r"2k \+ 10 = 130"):
-        lowest_eigenpairs(F, 60, method="shift_invert")
-
-
-def test_arpack_error_is_a_convergence_error(small_step_form, monkeypatch):
-    def fail(*args, **kwargs):
-        raise eigensolve.spla.ArpackError(3)
-
-    monkeypatch.setattr(eigensolve.spla, "eigsh", fail)
-    with pytest.raises(ConvergenceError, match="ARPACK error 3"):
-        lowest_eigenpairs(small_step_form, 2, method="shift_invert")
 
 
 def test_result_invariants(small_step_form):
@@ -228,11 +193,17 @@ def test_result_invariants(small_step_form):
 
 
 # Forms for the roots beyond STRUCTURED_FORMS: sigma < 0 nodes below several
-# roots (the branch index m0 + j with m0 > 0), and a corner-only sigma > 0.
+# roots (the branch index m0 + j with m0 > 0), and a corner-only sigma > 0,
+# whose odd pair sums are exact eigenvalues that C never sees (3 of the 6
+# lowest under outer Dirichlet).  In "negative_head_tail" sigma < c on the
+# first cells, so m0 > 0 with c != 0, and the 6 lowest values all lie above
+# 2*lambda_0(T_c), where #{D > 0} exceeds pos(C): the count must add the pair
+# sums before it subtracts m0.
 ROOT_FORMS = {
     "sign_changing": PiecewiseConstant((1.0, 1.6, 3.0), (4.0, -2.0, 4.0)),
     "negative_corner": PiecewiseConstant((0.1, 2.0), (-3.0, 5.0)),
     "corner_only_positive": PiecewiseConstant((0.1,), (3.0,)),
+    "negative_head_tail": BoundaryPotential(((0, 0.6, -1.0), (0.6, math.inf, 1.5))),
 }
 
 
@@ -253,26 +224,36 @@ def test_roots_match_dense_eigh(root_forms, dct_min_nodes, monkeypatch):
     monkeypatch.setattr(eigensolve, "DCT_MIN_NODES", dct_min_nodes)
     for F, dense in root_forms:
         if np.all(F.robin == F.robin[-1]):
-            # J is empty: every eigenvalue is a pair sum, and C has no zero
-            with pytest.raises(ValueError, match="found 0"):
+            # J is empty: every eigenvalue is a pair sum, and there is no C
+            with pytest.raises(ValueError, match="roots needs a node"):
                 lowest_eigenpairs(F, 1, method="roots")
             res = lowest_eigenpairs(F, 4)
             assert res.method == "pairs"
             assert np.abs(res.eigenvalues - dense[:4]).max() < 1e-9
             continue
-        lam0 = _basis(F, F.robin[-1])[0][0]
-        top = 2 * lam0 - SHIFT_MARGIN * (1 + abs(2 * lam0))  # the roots look below this
-        for k in range(1, 5):
-            assert not top <= dense[k - 1] < 2 * lam0  # no form sits in the margin
-            if dense[k - 1] >= 2 * lam0:
-                with pytest.raises(ValueError, match=f"roots needs k={k}"):
-                    lowest_eigenpairs(F, k, method="roots")
-                continue
+        for k in range(1, 7):
             res = lowest_eigenpairs(F, k, method="roots")
-            assert (res.method, res.applications, res.shift) == ("roots", 0, None)
+            assert res.method == "roots"
             assert np.abs(res.eigenvalues - dense[:k]).max() < 1e-9
             G = res.eigenvectors.T @ res.eigenvectors
             assert np.abs(G - np.eye(k)).max() < 1e-8
+
+
+def test_roots_next_to_a_pair_sum():
+    # the third value, 0.1713422825, lies 5e-10 below the double pair sum
+    # lambda_0 + lambda_1: the vector must come from C taken at the value,
+    # not at a bracket end.  Dense eigh is too large here (57,600 dof), so
+    # each value is checked by its residual and its two exact counts.
+    F = assemble(Step(10, 0.1), Grid(12, 0.05), OuterBC.DIRICHLET)
+    res = lowest_eigenpairs(F, 4)
+    assert res.method == "roots"
+    lam = _basis(F, 0.0)[0]
+    assert 0 < lam[0] + lam[1] - res.eigenvalues[2] < 1e-9
+    assert np.all(res.residuals <= 1e-11 * (1 + np.abs(res.eigenvalues)))
+    for i, value in enumerate(res.eigenvalues):
+        delta = 1e-9 * (1 + abs(value))
+        assert count_below(F, value - delta) == i
+        assert count_below(F, value + delta) == i + 1
 
 
 def _swap(n, v):
@@ -291,7 +272,7 @@ def test_pairs_on_double_eigenvalue():
     assert dense[1] == pytest.approx(-23.535923, abs=1e-6)
     assert dense[2] - dense[1] < 1e-12
     res = lowest_eigenpairs(F, 4)
-    assert (res.method, res.applications, res.shift) == ("pairs", 0, None)
+    assert res.method == "pairs"
     assert np.abs(res.eigenvalues - dense).max() < 1e-9
     V = res.eigenvectors
     assert np.abs(V.T @ V - np.eye(4)).max() < 1e-12
@@ -301,12 +282,12 @@ def test_pairs_on_double_eigenvalue():
 
 
 def test_roots_refuse_without_enough_bound_states(small_step_form):
-    # Step(1, 1) on Grid(4, 0.2) has one eigenvalue below 2*lambda_0(T)
-    assert lowest_eigenpairs(small_step_form, 1, method="roots").method == "roots"
-    with pytest.raises(ValueError, match=r"roots needs k=2 eigenvalues below 2\*lambda_0\(T_c\), found 1"):
-        lowest_eigenpairs(small_step_form, 2, method="roots")
+    # Step(1, 1) on Grid(4, 0.2) has one eigenvalue below 2*lambda_0(T), and
+    # the roots find the next ones between the pair sums; only a form with
+    # no node in J, and so no capacitance matrix, is refused
+    assert lowest_eigenpairs(small_step_form, 2, method="roots").method == "roots"
     F = assemble(Constant(0.0), Grid(4, 0.2), OuterBC.DIRICHLET)  # no Robin node
-    with pytest.raises(ValueError, match="found 0"):
+    with pytest.raises(ValueError, match="roots needs a node where sigma differs"):
         lowest_eigenpairs(F, 1, method="roots")
 
 
@@ -314,16 +295,6 @@ def test_root_budget_is_a_convergence_error(small_step_form, monkeypatch):
     monkeypatch.setattr(eigensolve, "ROOT_MAX_EVALS", 2)
     with pytest.raises(ConvergenceError, match="eigenvalue 1 not bracketed"):
         lowest_eigenpairs(small_step_form, 1, method="roots")
-
-
-def test_shift_invert_basis_check_comes_before_dispatch(monkeypatch):
-    def fail(*args, **kwargs):
-        raise AssertionError("dispatch ran before the basis check")
-
-    monkeypatch.setattr(eigensolve, "_basis", fail)
-    F = assemble(Step(1, 1), Grid(2, 0.2), OuterBC.DIRICHLET)
-    with pytest.raises(ValueError, match=r"2k \+ 10 = 130"):
-        lowest_eigenpairs(F, 60, method="shift_invert")
 
 
 def test_roots_bracketed_by_superlu_on_sweep_grid():
@@ -363,47 +334,31 @@ def test_auto_keeps_the_certified_shift_for_a_whole_robin_edge(monkeypatch):
     # constant sigma puts its value in T_c, so J is empty: the pair sums of
     # one tridiagonal problem, with no Lanczos and no capacitance matrix
     def fail(*args, **kwargs):
-        raise AssertionError("Lanczos or the roots ran on a separable form")
+        raise AssertionError("the roots ran on a separable form")
 
-    monkeypatch.setattr(eigensolve.spla, "eigsh", fail)
     monkeypatch.setattr(eigensolve, "_bound_states", fail)
     monkeypatch.setattr(eigensolve, "_capacitance", fail)
     F = assemble(Constant(1.0), Grid(8, 0.1), OuterBC.DIRICHLET)
-    res = lowest_eigenpairs(F, 1)
-    assert (res.method, res.applications, res.shift) == ("pairs", 0, None)
+    assert lowest_eigenpairs(F, 1).method == "pairs"
 
 
-def test_auto_takes_the_roots_on_a_sweep_grid_step(monkeypatch):
-    def fail(*args, **kwargs):
-        raise AssertionError("eigsh called")
-
-    monkeypatch.setattr(eigensolve.spla, "eigsh", fail)
+def test_auto_takes_the_roots_on_a_sweep_grid_step():
     F = assemble(Step(1.5, 1.0), Grid(8, 0.1), OuterBC.DIRICHLET)
-    res = lowest_eigenpairs(F, 1)
-    assert (res.method, res.applications, res.shift) == ("roots", 0, None)
+    assert lowest_eigenpairs(F, 1).method == "roots"
 
 
 @pytest.mark.parametrize("bc", list(OuterBC))
 @pytest.mark.parametrize("sigma", [0.5, 1.0, 5.0])
 def test_pairs_match_shift_invert(sigma, bc):
+    # the pair sums against dense eigh, where shift-invert Lanczos once was
+    # the reference
     F = assemble(Constant(sigma), Grid(4, 0.2), bc)
+    dense = eigh(F.matrix.toarray(), eigvals_only=True)
     for k in range(1, 5):
         pairs = lowest_eigenpairs(F, k)
-        lanczos = lowest_eigenpairs(F, k, method="shift_invert")
-        assert (pairs.method, pairs.applications, lanczos.method) == ("pairs", 0, "shift_invert")
-        assert np.abs(pairs.eigenvalues - lanczos.eigenvalues).max() < 1e-9, k
+        assert pairs.method == "pairs"
+        assert np.abs(pairs.eigenvalues - dense[:k]).max() < 1e-9, k
         assert np.all(pairs.residuals <= 1e-8 * (1 + np.abs(pairs.eigenvalues)))
-
-
-def test_auto_shifts_just_below_the_first_root_when_others_lie_above():
-    # the oscillating preset: one eigenvalue below 2*lambda_0(T), k = 3
-    F = assemble(PiecewiseConstant((0.5, 1.0), (1.0, -0.4)), Grid(12, 0.05), OuterBC.DIRICHLET)
-    res = lowest_eigenpairs(F, 3)
-    assert res.method == "shift_invert"
-    lam1 = res.eigenvalues[0]
-    assert _certified_shift(F) < res.shift < lam1
-    assert lam1 - res.shift <= 1.01 * SHIFT_MARGIN * (1 + abs(lam1))
-    assert count_below(F, res.shift) == 0
 
 
 def test_count_below_zero_potential():
@@ -550,13 +505,11 @@ def test_count_below_consistent_with_negative_count(small_step_form):
         assert count_below(small_step_form, 0.0) == res.negative_count
 
 
-@pytest.mark.parametrize(
-    "p, method",
-    [(Constant(1.0), "pairs"), (Step(1, 1), "roots"), (Step(1, 1), "shift_invert")],
-)
+@pytest.mark.parametrize("p, method", [(Constant(1.0), "pairs"), (Step(1, 1), "roots")])
 def test_solve_paths_build_no_matrix(p, method):
+    # k = 3 takes the roots past the pair sums
     F = assemble(p, Grid(4, 0.2), OuterBC.DIRICHLET)
-    res = lowest_eigenpairs(F, 1, method="auto" if method == "pairs" else method)
+    res = lowest_eigenpairs(F, 3)
     assert res.method == method
     assert "matrix" not in vars(F)
 
@@ -600,18 +553,19 @@ def test_bad_arguments(small_step_form):
             count_below(F, float("nan"))
 
 
-# Lanczos returns the k lowest eigenvalues, none skipped and every copy of a
-# multiple one: the exact count below (just under) the k-th value sees only
-# returned values, and nothing lies below the first.  An ARPACK tolerance of
-# 1e-10 instead of 0 failed both: it skipped the oscillating form's third
-# eigenvalue and returned one copy of Constant(5)'s double fourth.
+# The solver returns the k lowest eigenvalues, none skipped and every copy of
+# a multiple one: the exact count below (just under) the k-th value sees only
+# returned values, and nothing lies below the first.  These forms once caught
+# shift-invert Lanczos at an ARPACK tolerance of 1e-10: it skipped the
+# oscillating form's third eigenvalue and returned one copy of Constant(5)'s
+# double fourth.
 @pytest.mark.parametrize(
     "p, grid, bc, k",
     [
         (PiecewiseConstant((0.5, 1.0), (1.0, -0.4)), Grid(12, 0.1), OuterBC.DIRICHLET, 3),
         (Constant(5.0), Grid(12, 0.1), OuterBC.DIRICHLET, 4),
-        # the second eigenvalue, -39.818338, is odd under x <-> y: a start
-        # vector even under the swap returned -39.555850 in its place
+        # the second eigenvalue, -39.818338, is odd under x <-> y: a Lanczos
+        # start vector even under the swap returned -39.555850 in its place
         (
             PiecewiseConstant(
                 (0.48390814487617695, 1.2390735772214403), (6.006464616828136, 7.265538445350144)
@@ -625,7 +579,7 @@ def test_bad_arguments(small_step_form):
 )
 def test_shift_invert_misses_no_eigenvalue(p, grid, bc, k):
     F = assemble(p, grid, bc)
-    vals = lowest_eigenpairs(F, k, method="shift_invert").eigenvalues
+    vals = lowest_eigenpairs(F, k).eigenvalues
     below = [lam - 1e-7 * (1 + abs(lam)) for lam in (vals[0], vals[-1])]
     assert count_below(F, below[0]) == 0
     assert count_below(F, below[1]) == np.count_nonzero(vals < below[1])
