@@ -92,7 +92,8 @@ class DiscreteForm:
 
     @cached_property
     def matrix(self):
-        """A as CSR, built on first use; the dense path, tests and the layer trace read it."""
+        """A as CSR, built on first use; needs scipy, which only tests and the
+        layer trace load: no solve path reads it."""
         import scipy.sparse as sp
 
         # The five diagonals of T (x) I + I (x) T + D_Gamma: T's off-diagonal

@@ -21,12 +21,17 @@ A - tau*I is formed.
 T_0 = T is the cosine operator, so lam and Q are known in closed form:
 with N intervals and theta_m = (m + 1/2)*pi/N (outer Dirichlet, n = N
 nodes) or m*pi/N (outer Neumann, n = N + 1 nodes),
-lam_m = (2*sin(theta_m/2)/h)^2 and Q is the orthonormal DCT-III
-(Dirichlet) or DCT-I (Neumann) matrix.  On large grids whose FFT length is
-5-smooth the backward basis change Q W Q^T, one per eigenvector, is
-therefore a 2-D cosine transform, O(n^2 log n) instead of the O(n^3) of two
-dense products; DCT_MIN_NODES says where.  For c != 0, eigh_tridiagonal
-gives T_c's basis and the basis change is the dense products.
+lam_m = (2*sin(theta_m/2)/h)^2 and Q x is the orthonormal DCT-II
+(Dirichlet) or DCT-I (Neumann) of x, one numpy rfft (_cosine).  On large
+grids whose FFT length is 5-smooth the backward basis change Q W Q^T, one
+per eigenvector, is therefore a 2-D cosine transform, O(n^2 log n) instead
+of the O(n^3) of two dense products, and C then needs Q only at the corner
+and at J; DCT_MIN_NODES says where.  For c != 0, T_c is
+diag(lam) + c*q*q^T in that basis, q = Q's row 0: its k lowest eigenvalues
+are the zeros of the secular equation 1 + c*sum q_m^2/(lam_m - mu), one in
+each interlacing bracket, and its eigenvectors Q (q/(lam - mu)).  Where
+every eigenvalue of T_c is needed (the roots and counts for c != 0), dense
+eigh of T_c gives its basis, and the basis change is the dense products.
 
 Counts use the same structure.  Bordering B with the nodes in J gives
 [[B, U], [U^T, -D^{-1}]], whose two Schur complements are A - tau*I and
@@ -56,11 +61,8 @@ never sees; the counts jump there, and bisection finds it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
-from scipy.fft import idctn, next_fast_len
-from scipy.linalg import eigh, eigh_tridiagonal, eigvalsh, eigvalsh_tridiagonal
 
 from .discretize import DiscreteForm, OuterBC
 from .errors import ConvergenceError, FactorizationError
@@ -87,27 +89,33 @@ from .errors import ConvergenceError, FactorizationError
 # Below 100 dof it alone would take the roots only at k = 1, where they save
 # under 0.5 ms.
 DENSE_LIMIT = 100
-# The backward basis change by cosine transform from this many nodes per
-# side, when the transform's FFT length (N for DCT-III, 2N for DCT-I) is
-# 5-smooth; two GEMMs otherwise.  Median us of one forward plus one inverse
-# basis change, n x n GEMMs / dctn + idctn, BLAS on one thread (2-vCPU VM):
+# The backward basis change by cosine transform (_cosine) from this many
+# nodes per side under outer Dirichlet (DCT-II, FFT length N) and from three
+# times as many under outer Neumann (DCT-I, FFT length 2N), when the FFT
+# length is 5-smooth; two GEMMs otherwise.  Median us of one inverse basis
+# change, n x n GEMMs / _cosine on both axes, 61 interleaved calls, BLAS on
+# one thread (2-vCPU VM):
 #
-#     nodes   DCT-III          nodes   DCT-I
-#       80      93/180           81     104/223
-#      120     335/352          121     365/449
-#      160     770/535          161     843/829
-#      200    1115/683          201    1356/1698
-#      240    2649/1575         241    2682/2577
-#      256    4031/1843         257    2964/2401
-#      480   19409/6806         481   18157/10587
-#      241    2699/22153        242    2341/29415   (N = 241 prime: Bluestein)
+#     nodes   DCT-II           nodes   DCT-I
+#       80      50/153           81      57/216
+#      120     171/250          121     183/531
+#      160     379/390          161     409/896
+#      200     687/576          201     699/1375
+#      240     871/558          241     936/1753
+#      256    1077/675          257    1146/1686
+#      320    2057/1058         321    2144/2718
+#      480    6409/2837         481    6507/6505
+#      241    1264/12139        242    1129/10297   (N = 241 prime: Bluestein)
 #
-# DCT-III wins from about 160 nodes, DCT-I from about 240.  The inverse alone
-# (minimum us, GEMMs / idctn): 907/393 at 240 nodes, 1309/1065 at 241.
-DCT_MIN_NODES = 240
+# The transform also spares the n x n basis: C needs Q only at the corner and
+# at J.  Whole k = 1 solves of Step(1, 1), h = 0.05, GEMMs / transform, ms:
+# Dirichlet 4.68/4.11 at 160 nodes, 9.20/7.32 at 240, 39.7/29.0 at 480;
+# Neumann 6.86/7.00 at 201, 8.37/8.22 at 241, 36.7/30.9 at 481.
+DCT_MIN_NODES = 160
 SHIFT_MARGIN = 1e-3  # relative gap between a certified bound and the point taken below it
 ROOT_XTOL = 1e-13  # a root's bracket width, relative to 1 + |tau|
 ROOT_MAX_EVALS = 100  # capacitance evaluations per root
+SECULAR_MAX_STEPS = 100  # Newton or bisection steps per eigenvalue of T_c
 SINGULAR_RTOL = 1e-13  # count_below: eigenvalue magnitudes below this, relative, are zero
 
 
@@ -142,40 +150,133 @@ def _certified_shift(F: DiscreteForm) -> float:
 
 
 def _basis(
-    F: DiscreteForm, c: float, k: int | None = None, vectors: bool = True
+    F: DiscreteForm,
+    c: float,
+    k: int | None = None,
+    vectors: bool = True,
+    rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """T_c = T + c*e0*e0^T's eigenvalues, ascending, and orthonormal
-    eigenvectors (None unless vectors); when k is given, at least the
-    min(k, n) lowest.
+    eigenvectors (None unless vectors; only their entries at rows, when
+    given); when k is given, at least the min(k, n) lowest.
 
-    For c != 0 they come from eigh_tridiagonal.  For c = 0,
-    theta_m = a_m*pi/(2N) with a_m = 2m + 1 (outer Dirichlet) or 2m (outer
-    Neumann); Q_jm = cos(j*theta_m) scaled to the orthonormal DCT-III or
-    DCT-I matrix, so that Q W Q^T = idctn(W, type=3 or 1, norm="ortho").
-    The cosine's argument is reduced by its integer index j*a_m mod 4N.
+    For c = 0, theta_m = a_m*pi/(2N) with a_m = 2m + 1 (outer Dirichlet) or
+    2m (outer Neumann); Q_jm = cos(j*theta_m) scaled to the orthonormal
+    DCT-II or DCT-I matrix, so that Q x = _cosine(x).  The cosine's argument
+    is reduced by its integer index j*a_m mod 4N.  For c != 0 and k < n,
+    the k lowest come from the secular equation (_secular) in that basis;
+    for c != 0 and every eigenvalue, from dense eigh of T_c.
     """
-    if c:
-        t_diag = F.t_diag.copy()
-        t_diag[0] += c
-        select = {} if k is None or k >= F.n else {"select": "i", "select_range": (0, k - 1)}
-        if not vectors:
-            return eigvalsh_tridiagonal(t_diag, F.t_off, **select), None
-        return eigh_tridiagonal(t_diag, F.t_off, **select)
     n, N, h = F.n, F.grid.intervals, F.grid.h
     dirichlet = F.outer_bc is OuterBC.DIRICHLET
+    if c and (k is None or k >= n):
+        T_c = np.diag(F.t_diag) + np.diag(F.t_off, 1) + np.diag(F.t_off, -1)
+        T_c[0, 0] += c
+        if not vectors:
+            return np.linalg.eigvalsh(T_c), None
+        lam, Q = np.linalg.eigh(T_c)
+        return lam, Q if rows is None else Q[rows]
     a = 2 * np.arange(n) + dirichlet
     lam = (2.0 * np.sin(np.pi * a / (4 * N)) / h) ** 2
-    if not vectors:
-        return lam, None
-    cos = np.cos(np.pi / (2 * N) * np.arange(4 * N))
     # sqrt of the trapezoid weight on the rows, and on the columns for DCT-I
     w = np.ones(n)
     w[0] = np.sqrt(0.5)
     if not dirichlet:
         w[-1] = np.sqrt(0.5)
-    col = np.sqrt(2.0 / N) * (1.0 if dirichlet else w)
-    Q = w[:, None] * cos[np.outer(np.arange(n), a) % (4 * N)] * col
-    return lam, Q
+    col = np.sqrt(2.0 / N) * (np.ones(n) if dirichlet else w)
+    if c:
+        return _secular(lam, w[0] * col, c, k, vectors, dirichlet)
+    if not vectors:
+        return lam, None
+    j = np.arange(n) if rows is None else np.asarray(rows)
+    cos = np.cos(np.pi / (2 * N) * np.arange(4 * N))
+    return lam, w[j, None] * cos[np.outer(j, a) % (4 * N)] * col
+
+
+def _secular(
+    lam: np.ndarray, q: np.ndarray, c: float, k: int, vectors: bool, dirichlet: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The k lowest eigenpairs of diag(lam) + c*q*q^T, T_c in the cosine
+    basis (q = Q's row 0, no entry 0), with the vectors taken back by Q.
+
+    The eigenvalues are the zeros of f(mu) = 1/c + sum q^2/(lam - mu), one
+    in each interlacing bracket: (lam_{i-1}, lam_i) with lam_{-1} = lam_0 + c
+    for c < 0, (lam_i, lam_{i+1}) for c > 0.  f rises from below 0 to +inf
+    on each, and its right end p is a pole.  Newton's method runs in
+    y = 1/(p - mu), where p's term is linear (steps in mu itself took about
+    1.5 times as many), with bisection whenever its point leaves the bracket; the
+    eigenvector is Q (q/(lam - mu)).  One scalar loop per zero: vectorised
+    over the zeros, the same steps cost several times as much at k = 1.
+    """
+    q2 = q * q
+    eps = np.finfo(float).eps
+    floor = eps * (lam[1] - lam[0])
+    ends = np.concatenate(([lam[0] + c], lam))
+    vals = []
+    for i in range(k):
+        lo, hi = (ends[i], ends[i + 1]) if c < 0 else (ends[i + 1], ends[i + 2])
+        pole, mu = hi, lo + 0.5 * (hi - lo)
+        for _ in range(SECULAR_MAX_STEPS):
+            r = 1.0 / (lam - mu)
+            f = 1.0 / c + q2 @ r
+            if f > 0:
+                hi = mu
+            else:
+                lo = mu
+            d = pole - mu
+            t = pole - d / (1.0 - f / (d * (q2 @ (r * r))))
+            if abs(t - mu) <= 4.0 * eps * abs(t) + floor:
+                break
+            if not lo < t < hi:
+                t = lo + 0.5 * (hi - lo)
+            mu = t
+        else:
+            raise ConvergenceError(
+                f"T_c's eigenvalue {i + 1} not found in {SECULAR_MAX_STEPS} steps"
+            )
+        vals.append(t)
+    vals = np.array(vals)
+    if not vectors:
+        return vals, None
+    Y = q[:, None] / (lam[:, None] - vals)
+    return vals, _cosine(Y / np.linalg.norm(Y, axis=0), dirichlet)
+
+
+def _cosine(x: np.ndarray, dirichlet: bool, axis: int = 0) -> np.ndarray:
+    """Q x along axis, with Q the c = 0 basis of _basis: the orthonormal
+    DCT-II (outer Dirichlet) or DCT-I (outer Neumann), one rfft each.
+
+    DCT-II by Makhoul's reordering: v = x's even entries, then its odd ones
+    reversed; with Z_k = exp(-i*pi*k/(2n)) rfft(v)_k, the transform is
+    Re Z_k at k and -Im Z_k at n - k.  DCT-I of n = N + 1 entries is the
+    real rfft of the even extension of length 2N, its end entries weighted.
+    """
+    x = np.moveaxis(x, axis, 0)
+    n = x.shape[0]
+    if dirichlet:  # v is a copy, and takes the result
+        v = np.concatenate([x[::2], x[1::2][::-1]])
+        m = n // 2 + 1
+        twiddle = np.exp(-0.5j * np.pi / n * np.arange(m)).reshape((m,) + (1,) * (x.ndim - 1))
+        Z = np.fft.rfft(v, axis=0)
+        Z *= twiddle * np.sqrt(2.0 / n)
+        v[:m] = Z.real
+        v[m:] = -Z.imag[n - m : 0 : -1]
+        v[0] *= np.sqrt(0.5)
+        return np.moveaxis(v, 0, axis)
+    e = np.concatenate([x, x[-2:0:-1]])
+    e[[0, n - 1]] *= np.sqrt(2.0)
+    y = np.fft.rfft(e, axis=0).real
+    y /= np.sqrt(2.0 * (n - 1))
+    y[[0, -1]] *= np.sqrt(0.5)
+    return np.moveaxis(y, 0, axis)
+
+
+def _smooth(m: int) -> bool:
+    """m has no prime factor above 5."""
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
 
 
 def _pair_sums(lam: np.ndarray, V: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -197,41 +298,39 @@ def _pair_sums(lam: np.ndarray, V: np.ndarray, k: int) -> tuple[np.ndarray, np.n
     return np.array(vals[:k]), np.column_stack(vecs[:k])
 
 
-def _capacitance(robin: np.ndarray, Q: np.ndarray, H: np.ndarray):
+def _capacitance(d: np.ndarray, edge: np.ndarray, H: np.ndarray):
     """The two sectors of the capacitance C = diag(1/D) + U^T B^{-1} U.
 
     B = T_c (x) I + I (x) T_c - s with T_c = Q diag(lam) Q^T is given by
-    H_pq = 1/(lam_p + lam_q - s), and robin holds the edge coefficient per
-    node less c, so that the form is B + s*I + U diag(D) U^T.  U lists the
-    nodes (0, j) and then (j, 0) for j in J, those with robin != 0, with
-    D = robin[J] on each edge; the corner, listed on both, sums to its two edge terms
-    exactly as assemble builds them.  The x <-> y symmetry of B makes
-    C = [[X, Y], [Y, X]], with diag(1/d), d = robin[J], inside X; the
-    orthogonal [[I, I], [I, -I]]/sqrt(2) turns C into the two sectors
-    X + Y and X - Y, each taken from the edge structure in O(n^2 |J|).
-    Returns Q's rows at J, d and the two sectors.
+    H_pq = 1/(lam_p + lam_q - s); edge holds Q's rows at the corner and then
+    at J, the nodes whose edge coefficient less c, d, is not 0, so that the
+    form is B + s*I + U diag(D) U^T.  U lists the nodes (0, j) and then
+    (j, 0) for j in J, with D = d on each edge; the corner, listed on both,
+    sums to its two edge terms exactly as assemble builds them.  The
+    x <-> y symmetry of B makes C = [[X, Y], [Y, X]], with diag(1/d) inside
+    X; the orthogonal [[I, I], [I, -I]]/sqrt(2) turns C into the two
+    sectors X + Y and X - Y, each taken from the edge structure in
+    O(n^2 |J|).
     """
-    J = np.flatnonzero(robin)
-    QJ, d = Q[J], robin[J]
-    P = QJ * Q[0]
-    X = (QJ * ((Q[0] * Q[0]) @ H)) @ QJ.T + np.diag(1.0 / d)
+    q0, QJ = edge[0], edge[1:]
+    P = QJ * q0
+    X = (QJ * ((q0 * q0) @ H)) @ QJ.T + np.diag(1.0 / d)
     Y = P @ H @ P.T
-    return QJ, d, (X + Y, X - Y)
+    return X + Y, X - Y
 
 
-def _backward(F: DiscreteForm, Q: np.ndarray, c: float):
-    """W -> Q W Q^T for Q = _basis(F, c)[1]: for c = 0, a 2-D inverse DCT
-    (type 3 for outer Dirichlet, type 1 for outer Neumann, norm="ortho")
-    from DCT_MIN_NODES nodes per side when the FFT length, N or 2N, is
-    5-smooth, and two dense products otherwise."""
+def _transformed(F: DiscreteForm, c: float) -> bool:
+    """Whether the backward basis change W -> Q W Q^T runs as a 2-D cosine
+    transform (_cosine on both axes), not as two dense products: for c = 0,
+    from DCT_MIN_NODES nodes per side (DCT-II) or three times as many
+    (DCT-I), when the FFT length, N or 2N, is 5-smooth."""
     N = F.grid.intervals
-    kind, fft_len = (3, N) if F.outer_bc is OuterBC.DIRICHLET else (1, 2 * N)
-    if not c and F.n >= DCT_MIN_NODES and next_fast_len(fft_len, real=True) == fft_len:
-        return partial(idctn, type=kind, norm="ortho", overwrite_x=True)
-    return lambda W: Q @ W @ Q.T
+    dirichlet = F.outer_bc is OuterBC.DIRICHLET
+    smallest = DCT_MIN_NODES if dirichlet else 3 * DCT_MIN_NODES
+    return not c and F.n >= smallest and _smooth(N if dirichlet else 2 * N)
 
 
-def _bound_states(F: DiscreteForm, k: int, lam: np.ndarray, Q: np.ndarray):
+def _bound_states(F: DiscreteForm, k: int, lam: np.ndarray, edge: np.ndarray):
     """The k lowest eigenpairs of A, as zeros of C between the pair sums.
 
     A sector eigenvector v of mu_b at tau gives z = (v, +-v)/sqrt(2) and
@@ -254,12 +353,13 @@ def _bound_states(F: DiscreteForm, k: int, lam: np.ndarray, Q: np.ndarray):
     since B^{-1} U z at a bracket end next to a pair sum is too
     ill-conditioned.
 
-    Returns the k values and a multiple of W for each.
+    edge holds T_c's basis at the corner and then at J.  Returns the k
+    values and a multiple of W for each.
     """
-    q0 = Q[0]
+    q0, QJ = edge[0], edge[1:]
     S = lam[:, None] + lam[None, :]
     robin = F.robin - F.robin[-1]
-    QJ = Q[np.flatnonzero(robin)]
+    d = robin[robin != 0]
     m0 = 2 * int(np.count_nonzero(robin > 0))
     top = 2.0 * lam[0] - SHIFT_MARGIN * (1.0 + abs(2.0 * lam[0]))
     lo = hi = np.empty(0)
@@ -271,8 +371,8 @@ def _bound_states(F: DiscreteForm, k: int, lam: np.ndarray, Q: np.ndarray):
     def evaluate(tau):
         """C(tau)'s eigenpairs, mu descending; the count moves every bracket."""
         H = 1.0 / (S - tau)
-        _, _, sectors = _capacitance(robin, Q, H)
-        # numpy's batched eigh: a third of scipy's call overhead at |J| <= 20
+        sectors = _capacitance(d, edge, H)
+        # one batched eigh for both sectors
         mu, vecs = np.linalg.eigh(np.stack(sectors))
         order = np.argsort(mu, axis=None)[::-1]
         below_pairs = pairs(tau)
@@ -365,7 +465,12 @@ def lowest_eigenpairs(
 
     c = F.robin[-1]
     if method == "dense":
-        vals, vecs = eigh(F.matrix.toarray())
+        # A from its diagonal and T's off-diagonal, within and between blocks of n
+        idx = np.arange(dim).reshape(F.n, F.n)
+        A = np.diag(F._diagonal.ravel())
+        A[idx[:, 1:], idx[:, :-1]] = A[idx[:, :-1], idx[:, 1:]] = F.t_off
+        A[idx[1:], idx[:-1]] = A[idx[:-1], idx[1:]] = F.t_off[:, None]
+        vals, vecs = np.linalg.eigh(A)
         vals, vecs = vals[:k], vecs[:, :k]
     elif np.all(F.robin == c):
         if method == "roots":
@@ -374,10 +479,17 @@ def lowest_eigenpairs(
         vals, vecs = _pair_sums(*_basis(F, c, k), k)
     else:
         method = "roots"
-        lam, Q = _basis(F, c)
-        vals, coeffs = _bound_states(F, k, lam, Q)
-        backward = _backward(F, Q, c)
-        vecs = np.column_stack([backward(G).ravel() for G in coeffs])
+        rows = np.r_[0, np.flatnonzero(F.robin != c)]
+        if _transformed(F, c):  # Q's rows at the corner and at J only
+            dirichlet = F.outer_bc is OuterBC.DIRICHLET
+            lam, edge = _basis(F, c, rows=rows)
+            vals, coeffs = _bound_states(F, k, lam, edge)
+            vecs = [_cosine(_cosine(G, dirichlet, 0), dirichlet, 1) for G in coeffs]
+        else:
+            lam, Q = _basis(F, c)
+            vals, coeffs = _bound_states(F, k, lam, Q[rows])
+            vecs = [Q @ G @ Q.T for G in coeffs]
+        vecs = np.column_stack([W.ravel() for W in vecs])
 
     # normalize, fix signs for determinism
     for i in range(k):
@@ -433,14 +545,15 @@ def count_below(F: DiscreteForm, tau: float) -> int:
     for attempt in range(4):
         for c in F.robin[-1] + np.array([0.0, 1.0 / F.grid.h]):
             robin = F.robin - c
-            lam, Q = _basis(F, c, vectors=robin.any())
+            J = np.flatnonzero(robin)
+            lam, edge = _basis(F, c, vectors=J.size > 0, rows=np.r_[0, J])
             S = lam[:, None] + lam[None, :] - t
             if np.abs(S).min() < SINGULAR_RTOL * np.abs(S).max():
                 continue  # B is singular at t: try the next split
-            if Q is None:  # J is empty: A - t = B
+            if edge is None:  # J is empty: A - t = B
                 return int(np.sum(S < 0))
-            _, d, sectors = _capacitance(robin, Q, 1.0 / S)
-            mu = np.concatenate([eigvalsh(C, check_finite=False) for C in sectors])
+            d = robin[J]
+            mu = np.linalg.eigvalsh(np.stack(_capacitance(d, edge, 1.0 / S))).ravel()
             if mu.size and np.abs(mu).min() < SINGULAR_RTOL * np.abs(mu).max():
                 break  # A - t is singular: move t
             return int(np.sum(S < 0) + np.sum(mu > 0) - 2 * np.sum(d > 0))

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, hyp1f1
 
 from .errors import NotIntegrableError
 
@@ -87,7 +86,7 @@ class BoundaryPotential:
             if v == 0:
                 continue
             if lo**eps > a:  # P ~ 1 on the whole cell: a difference of Q = 1 - P
-                total += v * math.gamma(1 + a) * (gammaincc(a, lo**eps) - gammaincc(a, hi**eps))
+                total += v * math.gamma(1 + a) * (_gamma_q(a, lo**eps) - _gamma_q(a, hi**eps))
             else:
                 total += v * (_stretched_head(hi, eps) - _stretched_head(lo, eps))
         return total
@@ -99,8 +98,54 @@ def _stretched_head(y: float, eps: float) -> float:
     Gamma(1+a) may overflow; beyond x = a, a < 144 because y is finite."""
     a, x = 1.0 / eps, y**eps
     if x <= a:
-        return y * math.exp(-x) * hyp1f1(1.0, 1.0 + a, x)
-    return math.gamma(1 + a) * gammainc(a, x)
+        return y * math.exp(-x) * _hyp1f1(a, x)
+    return math.gamma(1 + a) * (1.0 - _gamma_q(a, x))
+
+
+def _hyp1f1(a: float, x: float) -> float:
+    """1F1(1; 1+a; x) = sum_k x^k / ((1+a)...(k+a)) for 0 <= x <= a: its
+    terms are positive and their ratio x/(k+a) below 1."""
+    term = total = 1.0
+    k = 1
+    while term > 1e-17 * total:
+        term *= x / (a + k)
+        total += term
+        k += 1
+    return total
+
+
+def _gamma_q(a: float, x: float) -> float:
+    """Q(a, x) = Gamma(a, x)/Gamma(a) for x > a > 0, by the modified Lentz
+    method on its continued fraction (Numerical Recipes, section 6.2).
+
+    The prefactor x^a e^-x / Gamma(a) is taken as
+    exp(a*(log1p(t) - t) + log(a/(2*pi))/2 - s(a)) with t = x/a - 1 and
+    s(a) = lgamma(a) - ((a - 1/2) log a - a + log(2*pi)/2), Stirling's
+    series from a = 10 on: the log of x^a e^-x and lgamma(a) each reach
+    700, and their difference in floating point would lose 1e-13.
+    """
+    tiny = 1e-300
+    b = x + 1.0 - a
+    c, d = 1.0 / tiny, 1.0 / b
+    frac = d
+    for i in range(1, 10_000):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) > tiny else tiny
+        frac *= c * d
+        if abs(c * d - 1.0) < 1e-16:
+            break
+    if a >= 10:
+        z = 1.0 / (a * a)
+        s = 1 / 1188 - z * 691 / 360360
+        s = (1 / 12 - z * (1 / 360 - z * (1 / 1260 - z * (1 / 1680 - z * s)))) / a
+    else:
+        s = math.lgamma(a) - ((a - 0.5) * math.log(a) - a + 0.5 * math.log(2 * math.pi))
+    t = x / a - 1.0
+    return math.exp(a * (math.log1p(t) - t) + 0.5 * math.log(a / (2 * math.pi)) - s) * frac
 
 
 def Constant(sigma: float) -> BoundaryPotential:

@@ -598,17 +598,29 @@ def test_entry_point_defaults_blas_to_one_thread(preset):
     assert out.strip() == repr([preset or "1"] * 3)
 
 
-def test_cli_imports_neither_scipy_integrate_nor_interpolate():
-    # the solver needs neither, and together they were most of a fresh import;
-    # scipy.sparse loads only when something reads DiscreteForm.matrix, and
-    # multiprocessing only when a sweep runs on more than one worker
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+def test_cli_runs_without_scipy(tmp_path):
+    # the runtime is numpy alone: scipy loads only when something reads
+    # DiscreteForm.matrix (tests and the layer trace), and multiprocessing
+    # only when a sweep runs on more than one worker.  The subprocess runs
+    # every shipped config and a solved 2 x 2 sweep after the import, so a
+    # lazy import on any task path shows as well.
+    root = Path(cli.__file__).parents[2]
+    sweep = {"sigma": [0.5, 1.5], "L": [1.0, 2.0], "solve": True}
+    configs = [str(p) for p in sorted((root / "configs").glob("*.cfg"))]
+    configs.append(str(write_cfg(tmp_path, base_config(tasks=["sweep"], sweep=sweep))))
     code = (
-        "import sys, robinspectra.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith("
-        "('scipy.integrate', 'scipy.interpolate', 'scipy.sparse', 'multiprocessing'))))"
+        "import sys, warnings, robinspectra.cli as cli\n"
+        "warnings.simplefilter('ignore')\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith(('scipy', 'multiprocessing')))\n"
+        "print(loaded())\n"
+        f"for i, cfg in enumerate({configs!r}):\n"
+        f"    out = {str(tmp_path)!r} + '/out' + str(i)\n"
+        "    assert cli.main(['run', '--config', cfg, '--out', out]) == 0, cfg\n"
+        "print(loaded())\n"
     )
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip() == "[]"
+    assert out.split("\n")[-3:] == ["[]", "[]", ""]

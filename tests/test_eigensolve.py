@@ -80,14 +80,18 @@ def structured_form(request):
     return F, eigh(F.matrix.toarray(), eigvals_only=True)
 
 
-def _spy_on_idctn(monkeypatch):
+def _spy_on_cosine(monkeypatch):
+    """Records each backward basis change by cosine transform, by its pass
+    along axis 1: T_c's own vectors (c != 0) take only axis 0."""
     calls = []
+    cosine = eigensolve._cosine
 
-    def spy(*args, **kwargs):
-        calls.append(kwargs["type"])
-        return idctn(*args, **kwargs)
+    def spy(x, dirichlet, axis=0):
+        if axis == 1:
+            calls.append(dirichlet)
+        return cosine(x, dirichlet, axis)
 
-    monkeypatch.setattr(eigensolve, "idctn", spy)
+    monkeypatch.setattr(eigensolve, "_cosine", spy)
     return calls
 
 
@@ -102,7 +106,7 @@ def transforms(monkeypatch):
     def each(F):
         for kind in ("dct", "gemm"):
             monkeypatch.setattr(eigensolve, "DCT_MIN_NODES", 0 if kind == "dct" else math.inf)
-            calls = _spy_on_idctn(monkeypatch)
+            calls = _spy_on_cosine(monkeypatch)
             yield kind
             # Grid(4, 0.2) has N = 20: both FFT lengths, 20 and 40, are 5-smooth
             roots = not np.all(F.robin == F.robin[-1])
@@ -122,6 +126,37 @@ def test_cosine_basis_diagonalises_T(N, bc):
     assert np.linalg.norm(T @ Q - Q * lam, 2) <= 1e-13 * norm_T
     assert np.linalg.norm(Q.T @ Q - np.eye(F.n), 2) <= 1e-13
     assert np.abs(lam - eigh_tridiagonal(F.t_diag, F.t_off, eigvals_only=True)).max() <= 1e-13 * norm_T
+
+
+# odd, even and 5-smooth lengths, and the primes 41 and 241 (Bluestein's FFT)
+@pytest.mark.parametrize("n", [2, 3, 7, 16, 41, 60, 120, 241, 256])
+def test_cosine_transform_matches_scipy(n):
+    rng = np.random.default_rng(n)
+    W = rng.standard_normal((n, n))
+    for dirichlet, kind in ((True, 3), (False, 1)):  # idct-III is the DCT-II
+        ref = idctn(W, type=kind, norm="ortho")
+        got = eigensolve._cosine(eigensolve._cosine(W, dirichlet, 0), dirichlet, 1)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), kind
+        col = eigensolve._cosine(W[:, :3], dirichlet)  # one axis, a few columns
+        assert np.abs(col - idctn(W[:, :3], type=kind, axes=0, norm="ortho")).max() <= 1e-14 * n
+
+
+@pytest.mark.parametrize("bc", list(OuterBC))
+@pytest.mark.parametrize("sigma", [-3.0, -0.5, 0.5, 5.0])  # c = -2*sigma/h, both signs
+@pytest.mark.parametrize("grid", [Grid(4, 0.2), Grid(12, 0.05)], ids=["n20", "n240"])
+def test_secular_eigenpairs_match_eigh_tridiagonal(grid, sigma, bc):
+    F = assemble(Constant(sigma), grid, bc)
+    c = F.robin[-1]
+    d = F.t_diag.copy()
+    d[0] += c
+    T_c = np.diag(d) + np.diag(F.t_off, 1) + np.diag(F.t_off, -1)
+    norm = np.abs(eigh_tridiagonal(d, F.t_off, eigvals_only=True)).max()
+    for k in range(1, 7):
+        lam, V = _basis(F, c, k)
+        ref = eigh_tridiagonal(d, F.t_off, eigvals_only=True, select="i", select_range=(0, k - 1))
+        assert np.abs(lam - ref).max() <= 1e-13 * norm, k
+        assert np.linalg.norm(T_c @ V - V * lam, 2) <= 1e-13 * norm, k
+        assert np.abs(V.T @ V - np.eye(k)).max() <= 1e-13, k
 
 
 @pytest.mark.parametrize("k", [None, 3])
@@ -165,7 +200,7 @@ def test_non_smooth_fft_length_keeps_the_dense_products(bc, monkeypatch):
     # N = 41 is prime, so neither FFT length (41, 82) is 5-smooth
     F = assemble(Step(1, 1), Grid(4.1, 0.1), bc)
     monkeypatch.setattr(eigensolve, "DCT_MIN_NODES", 0)
-    calls = _spy_on_idctn(monkeypatch)
+    calls = _spy_on_cosine(monkeypatch)
     res = lowest_eigenpairs(F, 3, method="roots")
     assert not calls
     assert np.all(res.residuals <= 1e-10 * (1 + np.abs(res.eigenvalues)))
@@ -484,7 +519,9 @@ def test_count_below_on_separable_forms(sigma, bc, monkeypatch):
     # zero pivot on the strong edge sigma = 5, so it checks the two weaker ones.
     F = assemble(Constant(sigma), Grid(2, 0.2), bc)
     vals = eigh(F.matrix.toarray(), eigvals_only=True)
-    monkeypatch.setattr(eigensolve, "eigh_tridiagonal", None)  # no eigenvectors
+    # no eigenvectors of T_c: neither dense eigh nor the cosine transform
+    monkeypatch.setattr(np.linalg, "eigh", None)
+    monkeypatch.setattr(eigensolve, "_cosine", None)
     gaps = np.flatnonzero(np.diff(vals) > 1e-6)[::5]
     for tau in (0.0, vals[0] - 1.0, *((vals[gaps] + vals[gaps + 1]) / 2)):
         assert count_below(F, tau) == int(np.sum(vals < tau)), tau

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import gammainc, gammaincc, hyp1f1
 
 from robinspectra.errors import NotIntegrableError
 from robinspectra.potential import (
@@ -13,6 +14,8 @@ from robinspectra.potential import (
     PiecewiseConstant,
     Step,
     Tabulated,
+    _gamma_q,
+    _hyp1f1,
 )
 
 
@@ -70,6 +73,25 @@ def test_weighted_integral_closed_form():
     for sigma, a in [(1, 2), (0.7, 3.1), (-0.3, 0.9), (0, 2)]:
         assert Constant(sigma).weighted_integral(a) == sigma / a
     assert PiecewiseConstant((1, 2), (0, 0)).weighted_integral(3.7) == 0
+
+
+def test_special_functions_match_scipy():
+    # the closed forms of stretched_weighted_integral: 1F1(1; 1+a; x) up to
+    # x = a, Q(a, x) and P = 1 - Q beyond, for every a = 1/eps of the
+    # certificate's search.  Q is held to 2e-13 here: scipy's gammaincc
+    # itself is 1.5e-13 off at (a, x) = (125, 187.5), so Q is also held to
+    # 1e-14 against values from 30-digit arithmetic (mpmath), which a
+    # prefactor through lgamma(a) itself misses by 1.4e-13.
+    for a, x, q in ((125, 187.5, 5.0369387740151576414e-7), (121, 181.5, 7.4621924922076958734e-7),
+                    (131, 262, 1.1964952337188336085e-19)):
+        assert _gamma_q(float(a), float(x)) == pytest.approx(q, rel=1e-14)
+    for a in map(float, range(1, 144)):
+        for x in a * np.array([0.01, 0.5, 0.9, 0.99, 1.0, 1.001, 1.01, 1.1, 1.5, 2.0]):
+            if x <= a:
+                assert _hyp1f1(a, x) == pytest.approx(hyp1f1(1.0, 1.0 + a, x), rel=1e-13)
+            else:
+                assert _gamma_q(a, x) == pytest.approx(gammaincc(a, x), rel=2e-13), (a, x)
+                assert 1.0 - _gamma_q(a, x) == pytest.approx(gammainc(a, x), rel=1e-13)
 
 
 def test_stretched_weighted_integral():
