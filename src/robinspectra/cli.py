@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -32,7 +32,7 @@ from .certify import (
     negative_count_bound,
 )
 from .discretize import Grid, OuterBC, assemble
-from .eigensolve import count_below, lowest_eigenpairs
+from .eigensolve import count_below, ground_states, lowest_eigenpairs
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -460,15 +460,23 @@ class Runner:
     def task_sweep(self) -> None:
         cfg = self.cfg
         points = [(s, L) for s in cfg.sweep_sigma for L in cfg.sweep_L]
-        sweep_point = partial(_sweep_point, cfg)
+        solved = [None] * len(points)
+        if cfg.sweep_solve:  # the ground energy only, at the finest h with outer Dirichlet
+            grid = Grid(cfg.R, min(cfg.hs))
+            forms = [assemble(Step(s, L), grid, OuterBC.DIRICHLET) for s, L in points]
+            solved = [
+                pair or (lowest_eigenpairs(F, 1, cfg.tol).eigenvalues[0], count_below(F, 0.0))
+                for F, pair in zip(forms, ground_states(forms))
+            ]
+        items = list(zip(points, solved))
         # the pool forks all its workers at once, so never more than can run
         workers = min(self.workers, len(points), os.cpu_count() or 1)
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(sweep_point, points, chunksize=-(-len(points) // workers)))
+                rows = list(pool.map(_sweep_point, items, chunksize=-(-len(items) // workers)))
         else:
-            rows = [sweep_point(point) for point in points]
+            rows = [_sweep_point(item) for item in items]
         write_csv(
             self._record("sweep.csv"),
             ["sigma", "L", "E_lo", "E_hi", "count_bound", "E_computed", "negative_count"],
@@ -476,8 +484,10 @@ class Runner:
         )
 
 
-def _sweep_point(cfg: Config, point: tuple[float, float]) -> list[str]:
-    sigma, L = point
+def _sweep_point(item: tuple[tuple[float, float], tuple[float, int] | None]) -> list[str]:
+    """One sweep.csv row: the point, its closed-form bounds and, when
+    solved, its ground energy and exact count below 0."""
+    (sigma, L), solved = item
     p = Step(sigma, L)
     lo, hi = ground_energy_sandwich(p)
     count = negative_count_bound(p)
@@ -488,14 +498,10 @@ def _sweep_point(cfg: Config, point: tuple[float, float]) -> list[str]:
         _fmt(hi),
         "" if count is None else str(count),
     ]
-    if cfg.sweep_solve:
-        F = assemble(p, Grid(cfg.R, min(cfg.hs)), OuterBC.DIRICHLET)
-        res = lowest_eigenpairs(F, 1, cfg.tol)  # the row holds the ground energy only
-        row.append(_fmt(float(res.eigenvalues[0])))
-        row.append(str(count_below(F, 0.0)))
-    else:
-        row.extend(["", ""])
-    return row
+    if solved is None:
+        return row + ["", ""]
+    E, negative = solved
+    return row + [_fmt(E), str(negative)]
 
 
 def _workers(text: str) -> int:

@@ -72,7 +72,7 @@ class DiscreteForm:
     outer_bc: OuterBC
     grid: Grid
     potential: BoundaryPotential
-    scale: np.ndarray = field(repr=False)  # sqrt of lumped mass per node
+    w1: np.ndarray = field(repr=False)  # 1D trapezoid weight per side index
     n: int  # nodes per side
     t_diag: np.ndarray = field(repr=False)  # diagonal of T
     t_off: np.ndarray = field(repr=False)  # off-diagonal of T
@@ -81,6 +81,12 @@ class DiscreteForm:
     @property
     def dimension(self) -> int:
         return self.n * self.n
+
+    @cached_property
+    def scale(self) -> np.ndarray:
+        """sqrt of the lumped mass per node, built on first use: a sweep holds
+        many forms, and only nodal values read it."""
+        return self.grid.h * np.sqrt(np.outer(self.w1, self.w1).ravel())
 
     @cached_property
     def _diagonal(self) -> np.ndarray:
@@ -161,8 +167,7 @@ def assemble(p: BoundaryPotential, grid: Grid, outer_bc: OuterBC) -> DiscreteFor
     # Robin term -2*sigma(y_j)/h per edge node j.
     robin = -2.0 * p.eval(grid.coords(outer_bc)) / h
 
-    scale = h * np.sqrt(np.outer(w1, w1).ravel())
     return DiscreteForm(
-        outer_bc=outer_bc, grid=grid, potential=p, scale=scale, n=n,
+        outer_bc=outer_bc, grid=grid, potential=p, w1=w1, n=n,
         t_diag=t_diag, t_off=t_off, robin=robin,
     )

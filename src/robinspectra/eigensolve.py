@@ -57,6 +57,18 @@ exact count, and the eigenvector is B^{-1} U z for the null vector z of C:
 one backward basis change.  A pair mode that vanishes on J (the odd one,
 when J is the corner alone) is an eigenvector of A at its pair sum that C
 never sees; the counts jump there, and bisection finds it.
+
+A sweep over Step potentials shares one pencil per L (ground_states).
+With outer Dirichlet and c = 0, a form whose Robin entries on J are one
+value d < 0 has D = d*I, so C(tau) = G(tau) - t*I in each sector, with
+t = -1/d = h/(2*sigma) and G = U^T B^{-1} U the same for every sigma of
+that J.  No pair sum lies below 0 and no entry of D is positive, so
+neg(A) = #{g > t} over the eigenvalues g of G(0): one eigvalsh gives every
+sigma's count.  The ground energy is where G's top eigenvalue reaches t,
+and every evaluation of G is an exact count for every sigma at once.  These
+values come with no eigenvector and no residual; their certificate is the
+two counts at the ends of a bracket ROOT_XTOL wide, N(lo) = 0 and
+N(hi) >= 1.
 """
 from __future__ import annotations
 
@@ -561,3 +573,111 @@ def count_below(F: DiscreteForm, tau: float) -> int:
     raise FactorizationError(
         f"zero pivot persists near tau={tau}; perturb tau and retry"
     )
+
+
+def ground_states(forms) -> list[tuple[float, int] | None]:
+    """Each form's lowest eigenvalue and its exact count below 0, or None.
+
+    A form with outer Dirichlet, c = 0 and one negative Robin value on J (a
+    Step with sigma > 0 that ends before the last node) is solved on the
+    pencil that it shares with the other such forms of its grid and J
+    (_pencil).  The value is None for every other form, and for one the
+    pencil leaves open: lowest_eigenpairs(F, 1) and count_below(F, 0) take
+    those.
+    """
+    found: list = [None] * len(forms)
+    groups: dict = {}
+    for i, F in enumerate(forms):
+        J = np.flatnonzero(F.robin)
+        d = F.robin[J]
+        dirichlet = F.outer_bc is OuterBC.DIRICHLET
+        if dirichlet and J.size and J[-1] < F.n - 1 and d[0] < 0 and np.all(d == d[0]):
+            groups.setdefault((F.grid, J.tobytes()), []).append(i)
+    for members in groups.values():
+        for i, pair in zip(members, _pencil([forms[i] for i in members])):
+            found[i] = pair
+    return found
+
+
+def _pencil(forms: list[DiscreteForm]) -> list[tuple[float, int] | None]:
+    """(E, count below 0) of forms that differ only in their Robin value
+    d < 0 on J, with outer Dirichlet and c = 0; None where a form needs the
+    general path.
+
+    On J, C(tau) = G(tau) - t*I in each sector, with t = -1/d and G the
+    capacitance without its diagonal, the same for every form.  No pair sum
+    lies below 0 and no entry of D is positive, so neg(A) = #{g > t} over
+    G(0)'s eigenvalues g in both sectors: one eigvalsh for every form.  A
+    count where min|g - t| < SINGULAR_RTOL*max|g - t| is left to count_below.
+
+    E is where the top of G over both sectors, increasing up to the pole
+    2*lam_0, reaches t.  G is positive definite there, and 1/g is nearly
+    linear in tau both far below and next to the pole, so Newton's method
+    runs on 1/g - 1/t in x = sqrt(2*lam_0 - tau), with the nudge and the
+    bisection of _bound_states.  Each evaluation is an exact count for every
+    form, N(tau) >= 1 iff max g > t, and moves every form's bracket, which
+    starts at [the strongest form's certified shift, top].  A form with
+    N(top) = 0 (weak coupling: E lies above top) is left to
+    lowest_eigenpairs.  Forms run from the largest t on, each from the last
+    point of the one before, so that its first Newton step starts to the
+    right of its root; that step is taken whenever it stays in the bracket.
+    """
+    F = forms[0]
+    J = np.flatnonzero(F.robin)
+    lam, edge = _basis(F, 0.0, rows=np.r_[0, J])
+    q0, QJ = edge[0], edge[1:]
+    S = lam[:, None] + lam[None, :]
+    t = np.array([-1.0 / G.robin[J[0]] for G in forms])
+    free = np.full(J.size, np.inf)  # _capacitance's diagonal 1/d vanishes: C = G
+
+    g = np.linalg.eigvalsh(np.stack(_capacitance(free, edge, 1.0 / S))).ravel()
+    gap = np.abs(g - t[:, None])
+    counts = np.count_nonzero(g > t[:, None], axis=1)
+    regular = gap.min(axis=1) >= SINGULAR_RTOL * gap.max(axis=1)
+
+    pole = 2.0 * lam[0]
+    top = pole - SHIFT_MARGIN * (1.0 + abs(pole))
+    # A falls as sigma grows, so the strongest form's shift is below every form
+    lo = np.full(len(forms), _certified_shift(forms[int(np.argmin(t))]))
+    hi = np.full(len(forms), top)
+
+    def evaluate(tau):
+        """G's top eigenvalue at tau, over both sectors, and its slope;
+        the count moves every bracket."""
+        H = 1.0 / (S - tau)
+        mu, vecs = np.linalg.eigh(np.stack(_capacitance(free, edge, H)))
+        sector = int(mu[1, -1] > mu[0, -1])
+        g = mu[sector, -1]
+        hi[g > t] = np.minimum(hi[g > t], tau)
+        lo[g <= t] = np.maximum(lo[g <= t], tau)
+        # the slope |W|_F^2/2 of _bound_states, W = H o (q0 c^T +- c q0^T)
+        c = QJ.T @ vecs[sector, :, -1]
+        H *= H
+        cross = (q0 * c) @ H @ (q0 * c)
+        return tau, g, float((q0 * q0) @ H @ (c * c) + (-cross if sector else cross))
+
+    ev = evaluate(top)
+    solved = regular & (ev[1] > t)  # N(top) >= 1
+    found: list = [None] * len(forms)
+    for i in np.argsort(-t, kind="stable"):
+        if not solved[i]:
+            continue
+        step = np.inf
+        for _ in range(ROOT_MAX_EVALS):
+            tau, g, slope = ev
+            delta = (t[i] - g) * g / (t[i] * slope)  # Newton's step on 1/g in tau ...
+            delta -= delta * delta / (4.0 * (pole - tau))  # ... and in x
+            eps = ROOT_XTOL * (1.0 + abs(tau))
+            if lo[i] <= tau <= hi[i] and hi[i] - lo[i] <= eps:
+                break
+            new = tau + delta - np.copysign(0.25 * eps, g - t[i])
+            if not (lo[i] < new < hi[i] and abs(delta) <= 0.5 * step):
+                new = 0.5 * (lo[i] + hi[i])
+            step = abs(new - tau)
+            ev = evaluate(new)
+        else:
+            raise ConvergenceError(
+                f"ground state not bracketed to {ROOT_XTOL:g} in {ROOT_MAX_EVALS} counts"
+            )
+        found[i] = (float(min(max(tau + delta, lo[i]), hi[i])), int(counts[i]))
+    return found

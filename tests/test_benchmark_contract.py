@@ -36,7 +36,8 @@ def test_layer_trace_of_bounds_solve_and_sweep(tmp_path):
         "potential": {"kind": "step", "sigma": 1.0, "L": 1.0},
         "grid": {"R": 6.0, "h": 0.1},
         "tasks": ["bounds", "solve", "sweep"],
-        "sweep": {"sigma": [1.0], "L": [1.0], "solve": True},
+        # sigma = -0.5 takes the per-point solve and count, sigma = 1 the pencil
+        "sweep": {"sigma": [-0.5, 1.0], "L": [1.0], "solve": True},
     }
     path = tmp_path / "traced.cfg"
     path.write_text(json.dumps(cfg))
@@ -54,7 +55,7 @@ def test_layer_trace_of_bounds_solve_and_sweep(tmp_path):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     summary = result["summary"]
     assert result["code"] == 0, proc.stderr
-    assert summary["eigensolve.lowest_eigenpairs.calls"] == 2  # solve task + sweep point
+    assert summary["eigensolve.lowest_eigenpairs.calls"] == 2  # solve task + the sigma < 0 point
     assert summary["eigensolve.lowest_eigenpairs.failed"] == 0
     assert summary["eigensolve.count_below.calls"] >= 1
     assert summary["eigensolve.count_below.failed"] == 0

@@ -12,7 +12,7 @@ import pytest
 from robinspectra import cli
 from robinspectra.cli import CERTIFY_BUDGET, ROOTS1D_BUDGET, main, parse_config
 from robinspectra.discretize import OuterBC
-from robinspectra.eigensolve import lowest_eigenpairs
+from robinspectra.eigensolve import ground_states, lowest_eigenpairs
 from robinspectra.errors import (
     ConfigError,
     ConvergenceError,
@@ -508,25 +508,32 @@ def test_workers_only_on_run_and_sweep(tmp_path, monkeypatch, pool_sizes):
 
 
 def test_sweep_solves_for_the_ground_energy_only(tmp_path, monkeypatch):
-    seen = []
+    batches, seen = [], []
+
+    def spy_batch(forms, *args, **kwargs):
+        batches.append(len(forms))
+        return ground_states(forms, *args, **kwargs)
 
     def spy(F, k, *args, **kwargs):
         seen.append(k)
         return lowest_eigenpairs(F, k, *args, **kwargs)
 
+    monkeypatch.setattr(cli, "ground_states", spy_batch)
     monkeypatch.setattr(cli, "lowest_eigenpairs", spy)
     rows = {}
     for k in (1, 3):
         cfg = base_config(
             solver={"k": k, "tol": 1e-8},
             tasks=["sweep"],
-            sweep={"sigma": [1.0, 1.5], "L": [0.5], "solve": True},
+            # sigma <= 0 takes the per-point solve
+            sweep={"sigma": [-0.5, 1.0, 1.5], "L": [0.5], "solve": True},
         )
         out = tmp_path / f"k{k}"
         assert main(["run", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
         lines = (out / "sweep.csv").read_text().strip().splitlines()[1:]
         rows[k] = [line.split(",") for line in lines]
-    assert seen == [1] * 4
+    assert batches == [3, 3]  # one batch per sweep
+    assert seen == [1, 1]  # the sigma <= 0 point, at k = 1 whatever solver.k says
     for r1, r3 in zip(rows[1], rows[3]):
         assert float(r3[5]) == pytest.approx(float(r1[5]), rel=1e-8)
         assert r3[6] == r1[6]

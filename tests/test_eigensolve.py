@@ -12,6 +12,7 @@ from robinspectra.eigensolve import (
     _basis,
     _certified_shift,
     count_below,
+    ground_states,
     lowest_eigenpairs,
 )
 from robinspectra.errors import ConvergenceError, FactorizationError
@@ -620,3 +621,34 @@ def test_shift_invert_misses_no_eigenvalue(p, grid, bc, k):
     below = [lam - 1e-7 * (1 + abs(lam)) for lam in (vals[0], vals[-1])]
     assert count_below(F, below[0]) == 0
     assert count_below(F, below[1]) == np.count_nonzero(vals < below[1])
+
+
+def test_ground_states_match_the_per_point_solve():
+    # Seeded steps, each sigma paired with another on the same L (one J), on
+    # grids above DENSE_LIMIT so that the oracle takes the roots; J the corner
+    # alone (L < h); 160 nodes, where lowest_eigenpairs changes basis by the
+    # cosine transform; and the forms the pencil leaves to the per-point path:
+    # sigma <= 0, L >= R (c != 0) and Step(0.01, 0.1), whose E lies above top.
+    rng = np.random.default_rng(30)
+    cases = [
+        (grid, float(s), float(L))
+        for grid in (Grid(3, 0.2), Grid(4, 0.2), Grid(2, 0.1))
+        for s, L in zip(rng.uniform(0.5, 5, 6), np.repeat(rng.uniform(0.3, grid.R - 0.3, 3), 2))
+    ]
+    cases += [(Grid(4, 0.2), 2.0, 0.1), (Grid(16, 0.1), 1.3, 1.0)]
+    fallbacks = [
+        (Grid(4, 0.2), -0.5, 1.0),
+        (Grid(4, 0.2), 0.0, 1.0),
+        (Grid(4, 0.2), 1.0, 4.0),
+        (Grid(8, 0.1), 0.01, 0.1),
+    ]
+    forms = [assemble(Step(s, L), grid, OuterBC.DIRICHLET) for grid, s, L in cases + fallbacks]
+    found = ground_states(forms)
+    assert found[len(cases) :] == [None] * len(fallbacks)
+    weak = forms[-1]
+    assert lowest_eigenpairs(weak, 1).eigenvalues[0] > 2 * _basis(weak, 0.0, 1)[0][0] - 1e-3
+    for F, (E, count) in zip(forms, found[: len(cases)]):
+        assert E == pytest.approx(lowest_eigenpairs(F, 1).eigenvalues[0], rel=1e-12)
+        assert count == count_below(F, 0.0)
+        delta = 1e-9 * (1 + abs(E))
+        assert count_below(F, E - delta) == 0 < count_below(F, E + delta)
